@@ -1,9 +1,9 @@
 """Constructors for every named Hopf algebra family in the atlas.
 
-Monomial bases are frozen per family and documented next to each constructor;
-serialization and the golden-file tests depend on that order.  Every build()
-result is fully re-verified (axioms + metadata claims); an axiom failure is a
-constructor bug and raises AtlasConstructionError.
+Monomial bases are frozen per family; serialization and the golden-file tests
+depend on that order.  Every build() result is fully re-verified (axioms +
+metadata claims); a failure is a constructor bug and raises
+AtlasConstructionError, which carries the failing report.
 
 Families and their CLI names:
 
@@ -25,21 +25,59 @@ Families and their CLI names:
     h4xc:{p}     dim 4p, x^2 = 0, skew partner g^p (tensor of h4 by kC_p)
 
 Prefix "dual:" (e.g. "dual:taft3") resolves to the dual of a family.
+
+Pointed families (and k8) are data: _POINTED maps a family id to a function of
+the parameters returning a PointedDatum, the quantum-linear-space datum of the
+Andruskiewitsch-Schneider lifting method:
+
+    name       display name (FinHopf.name)
+    order      N of the coefficient field Q(zeta_N)
+    grouplike  ((g, M), ...): grouplike generators, g^M = 1
+    skew       ((x, n, w), ...): skew generators, nilpotent of index n, with
+               Delta(x) = x(x)1 + w(x)x for a word w = {g: exp} in grouplikes
+    commute    {(a, b): k} with a after b in generator order: a*b = zeta_N^k b*a;
+               a pair that is not listed commutes
+    lift       (s0, s2): x^n = s0 + s2*w^n instead of x^n = 0; only used with
+               n = 2 and a single skew generator
+    override   k8 only: its generators are not grouplike or skew-primitive, so
+               their coalgebra data {gen: (Delta, eps, S)} and the claimed_*
+               metadata are given explicitly, monomials as exponent tuples
+
+Everything else is derived, and build() verifies the result:
+
+* basis: monomials over the generators (grouplikes first) in mixed radix,
+  first generator fastest, so g^a x^b has index a + M*b; words are the
+  nonzero (gen, exp) pairs of each monomial;
+* products: u*v is prod zeta^(k*u_a*v_b) over the commute pairs times the
+  monomial of the summed exponents; grouplike exponents reduce mod M, and a
+  skew exponent reaching n gives 0 or the lifting;
+* coalgebra: Delta(g) = g(x)g, eps(g) = 1, S(g) = g^(M-1), eps(x) = 0,
+  S(x) = -w^-1 x, extended along the words by _finish;
+* metadata: the grouplike monomials, the generators, and as dual grouplikes
+  the characters g -> zeta_M^j, x -> 0 that respect the lifting;
+* the Presentation used by the isomorphism machinery, see presentation().
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import product
 from math import lcm
 
 from .groups import FiniteGroup, parse_group
-from .hopf import FinHopf, LinearMap, hopf_dual, verify_antipode, verify_bialgebra
-from .linalg import Subspace, sp_add_into, sp_scale
+from .hopf import FinHopf, LinearMap, Report, hopf_dual, verify_antipode, verify_bialgebra
+from .linalg import Subspace, kernel_of_columns, sp_add_into, sp_scale
 from .scalars import FieldElem
 
 
 class AtlasConstructionError(RuntimeError):
-    """A constructor produced something that fails verification."""
+    """A constructor produced something that fails verification; report holds
+    the failed axiom checks (None for a failed metadata claim)."""
+
+    def __init__(self, message, report: Report = None):
+        super().__init__(message)
+        self.report = report
 
 
 class UnknownFamilyError(ValueError):
@@ -50,9 +88,6 @@ class UnknownFamilyError(ValueError):
 class FamilySpec:
     family_id: str
     params: tuple = ()
-
-    def __str__(self):
-        return family_string(self)
 
 
 @dataclass
@@ -72,7 +107,18 @@ class Presentation:
     relations: object
 
 
-PRESENTATIONS: dict[str, Presentation] = {}
+@dataclass(frozen=True)
+class PointedDatum:
+    """Generators, commutation scalars and lifting of a family; see the
+    module docstring for the format."""
+
+    name: str
+    order: int
+    grouplike: tuple
+    skew: tuple
+    commute: dict
+    lift: tuple = (0, 0)
+    override: dict = None
 
 
 # ---------------------------------------------------------------------------
@@ -94,18 +140,14 @@ def _finish(name, order, words, mult, gen_data, metadata):
     comult, counit, scols = {}, {}, []
     unit_tensor = {(unit_idx, unit_idx): one}
     for i, word in enumerate(words):
-        d = dict(unit_tensor)
-        e = one
-        s = {unit_idx: one}
-        for gen, exp in word:
-            gd, ge, gs = gen_data[gen]
-            for _ in range(exp):
-                d = partial.mul2(d, gd)
-                e = e * ge
-        for gen, exp in reversed(word):
-            gd, ge, gs = gen_data[gen]
-            for _ in range(exp):
-                s = partial.mul(s, gs)
+        letters = [gen for gen, exp in word for _ in range(exp)]
+        d, e, s = dict(unit_tensor), one, {unit_idx: one}
+        for gen in letters:
+            gd, ge, _ = gen_data[gen]
+            d = partial.mul2(d, gd)
+            e = e * ge
+        for gen in reversed(letters):
+            s = partial.mul(s, gen_data[gen][2])
         if d:
             comult[i] = d
         if e:
@@ -116,16 +158,142 @@ def _finish(name, order, words, mult, gen_data, metadata):
     return FinHopf(name, dim, order, mult, unit, comult, counit, anti, metadata)
 
 
-def _gen_vec(words, word, order):
-    idx = words.index(word)
-    return {idx: FieldElem.one(order)}
+class _Basis:
+    """Mixed-radix monomial basis over a datum's generators, first fastest."""
+
+    def __init__(self, datum: PointedDatum):
+        self.gens = [g for g, _ in datum.grouplike] + [x for x, _, _ in datum.skew]
+        self.radix = [m for _, m in datum.grouplike] + [n for _, n, _ in datum.skew]
+        self.grouplikes = len(datum.grouplike)
+        self.exps = [e[::-1] for e in product(*(range(r) for r in reversed(self.radix)))]
+        self.index = {e: i for i, e in enumerate(self.exps)}
+        self.words = [tuple((g, k) for g, k in zip(self.gens, e) if k) for e in self.exps]
+        self.labels = ["*".join(f"{g}^{k}" if k > 1 else g for g, k in w) or "1" for w in self.words]
+        self.grouplike_monomials = [i for i, e in enumerate(self.exps) if not any(e[self.grouplikes:])]
+
+    def at(self, exps) -> int:
+        """Index of a monomial; grouplike exponents are taken mod their order."""
+        ng = self.grouplikes
+        key = tuple(k % r for k, r in zip(exps[:ng], self.radix)) + tuple(exps[ng:])
+        return self.index[key]
+
+    def of(self, word: dict) -> int:
+        return self.at([word.get(g, 0) for g in self.gens])
 
 
-def _labels(words):
+def _mult_table(datum: PointedDatum, basis: _Basis) -> dict:
+    """Each product of two basis monomials, computed once."""
+    order, ng = datum.order, basis.grouplikes
+    zeta = [FieldElem.zeta(order, t) for t in range(order)]
+    pos = {g: a for a, g in enumerate(basis.gens)}
+    pairs = [(pos[a], pos[b], k) for (a, b), k in datum.commute.items()]
+    s0, s2 = (FieldElem.from_rational(s, order) for s in datum.lift)
+    mult = {}
+    for i, u in enumerate(basis.exps):
+        for j, v in enumerate(basis.exps):
+            coeff = zeta[sum(k * u[a] * v[b] for a, b, k in pairs) % order]
+            e = [x + y for x, y in zip(u, v)]
+            over = [s for s, (_, n, _) in enumerate(datum.skew) if e[ng + s] >= n]
+            if not over:
+                mult[(i, j)] = {basis.at(e): coeff}
+            elif any(datum.lift):
+                (s,) = over  # a lifting is only given for a single skew generator
+                _, n, w = datum.skew[s]
+                e[ng + s] -= n
+                row = sp_add_into({}, {basis.at(e): coeff * s0})
+                sp_add_into(row, {basis.at([k + n * w.get(g, 0) for g, k in zip(basis.gens, e)]):
+                                  coeff * s2})
+                if row:
+                    mult[(i, j)] = row
+    return mult
+
+
+def _generator_data(datum: PointedDatum, basis: _Basis, mult: dict) -> dict:
+    """Delta, eps and S of each generator: grouplikes and skew-primitives."""
+    one, zero = FieldElem.one(datum.order), FieldElem.zero(datum.order)
+    data = {}
+    for g, m in datum.grouplike:
+        i = basis.of({g: 1})
+        data[g] = ({(i, i): one}, one, {basis.of({g: m - 1}): one})
+    for x, _, w in datum.skew:
+        i = basis.of({x: 1})
+        w_inv = basis.of({g: -k for g, k in w.items()})
+        data[x] = ({(i, basis.of({})): one, (basis.of(w), i): one}, zero,
+                   sp_scale(mult[(w_inv, i)], -one))
+    return data
+
+
+def _characters(datum: PointedDatum, basis: _Basis) -> list:
+    """Algebra maps g -> zeta_M^j, x -> 0 as dual-basis vectors, keeping those
+    that respect the lifting: s0 + s2*chi(w)^n = 0."""
+    order = datum.order
+    zeta = [FieldElem.zeta(order, t) for t in range(order)]
+    s0, s2 = (FieldElem.from_rational(s, order) for s in datum.lift)
+    steps = [order // m for _, m in datum.grouplike]
     out = []
-    for w in words:
-        out.append("*".join(f"{g}^{e}" if e > 1 else g for g, e in w) or "1")
+    for js in product(*(range(m) for _, m in datum.grouplike)):
+        def chi(exps):
+            return sum(k * j * step for k, j, step in zip(exps, js, steps)) % order
+
+        if any(s0 + s2 * zeta[n * chi([w.get(g, 0) for g in basis.gens]) % order]
+               for _, n, w in datum.skew):
+            continue
+        out.append({i: zeta[chi(basis.exps[i])] for i in basis.grouplike_monomials})
     return out
+
+
+def _irrep_functionals(order, M):
+    """Coefficient functionals of the 2-dim irreps rho_j(g) = diag(a, -a), a = z^j,
+    rho_j(x) = [[0, a^2 - 1], [1, 0]], one per j with a^2 != 1, on the basis
+    g^k x^e (index k + M*e); for families with x^2 = g^2 - 1."""
+    blocks = []
+    for j in range(1, M // 2):
+        a = FieldElem.zeta(order, j * (order // M))
+        beta = a * a - 1
+        plus = [a.power(k) for k in range(M)]
+        minus = [(-a).power(k) for k in range(M)]
+        blocks.append([
+            [{k: c for k, c in enumerate(plus)}, {k + M: c * beta for k, c in enumerate(plus)}],
+            [{k + M: c for k, c in enumerate(minus)}, {k: c for k, c in enumerate(minus)}],
+        ])
+    return blocks
+
+
+def _claims(spec, basis: _Basis, one):
+    """Override claims: exponent tuples become basis vectors, lists and dicts
+    keep their shape."""
+    if isinstance(spec, tuple):
+        return {basis.at(spec): one}
+    if isinstance(spec, dict):
+        return {k: _claims(v, basis, one) for k, v in spec.items()}
+    return [_claims(v, basis, one) for v in spec]
+
+
+def _build_pointed(datum: PointedDatum, fam: str) -> FinHopf:
+    order = datum.order
+    one = FieldElem.one(order)
+    basis = _Basis(datum)
+    mult = _mult_table(datum, basis)
+    meta = {
+        "family": fam,
+        "basis_labels": basis.labels,
+        "claimed_grouplikes": [{i: one} for i in basis.grouplike_monomials],
+        "claimed_generators": {g: {basis.of({g: 1}): one} for g in basis.gens},
+        "claimed_matrix_bases": [],
+        "dual_grouplikes": _characters(datum, basis),
+        "dual_matrix_bases": _irrep_functionals(order, datum.grouplike[0][1]) if any(datum.lift) else [],
+    }
+    if datum.override is None:
+        gen_data = _generator_data(datum, basis, mult)
+    else:
+        over = dict(datum.override)
+        gen_data = {
+            g: ({(basis.at(a), basis.at(b)): c for (a, b), c in delta.items()}, eps,
+                {basis.at(e): c for e, c in s.items()})
+            for g, (delta, eps, s) in over.pop("coalgebra").items()
+        }
+        meta.update(_claims(over, basis, one))
+    return _finish(datum.name, order, basis.words, mult, gen_data, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -152,18 +320,11 @@ def group_algebra(group: FiniteGroup, order=None, family=None) -> FinHopf:
     dual_groups = [
         {i: v for i, v in enumerate(vals) if v} for vals in chars
     ]
-    dual_blocks = []
-    for rep in group.two_dim_irreps(field_order):
-        block = [[None, None], [None, None]]
-        for u in range(2):
-            for v in range(2):
-                vec = {}
-                for i, g in enumerate(group.elements):
-                    c = rep[g][u][v]
-                    if c:
-                        vec[i] = c
-                block[u][v] = vec
-        dual_blocks.append(block)
+    dual_blocks = [
+        [[{i: rep[g][u][v] for i, g in enumerate(group.elements) if rep[g][u][v]} for v in range(2)]
+         for u in range(2)]
+        for rep in group.two_dim_irreps(field_order)
+    ]
     meta = {
         "family": family or f"k[{group.name}]",
         "basis_labels": list(group.labels),
@@ -176,674 +337,192 @@ def group_algebra(group: FiniteGroup, order=None, family=None) -> FinHopf:
     return FinHopf(family or f"k[{group.name}]", n, field_order, mult, unit, comult, counit, anti, meta)
 
 
-# ---------------------------------------------------------------------------
-# one grouplike generator g (order M) and one skew generator x, x^2 in k + k*g^2
-#
-# basis g^a x^e with 0 <= a < M, e in {0, 1}, index e*M + a
-# (grouplike part first, then x-degree)
-# ---------------------------------------------------------------------------
-
-def _two_gen_family(name, order, M, commute, x_sq, partner_exp, family, extra_meta=None):
-    """Relations: g^M = 1, x g = commute * g x, x^2 = x_sq[0] + x_sq[1]*g^2,
-    Delta(x) = x(x)1 + g^partner_exp(x)x."""
-    words = [(("g", a),) if a else () for a in range(M)]
-    words += [(("g", a), ("x", 1)) if a else (("x", 1),) for a in range(M)]
-    words = [tuple(p for p in w if p[1]) for w in words]
-    one = FieldElem.one(order)
-    s0 = FieldElem.from_rational(x_sq[0], order) if not isinstance(x_sq[0], FieldElem) else x_sq[0]
-    s2 = FieldElem.from_rational(x_sq[1], order) if not isinstance(x_sq[1], FieldElem) else x_sq[1]
-
-    def idx(a, e):
-        return e * M + a
-
-    mult = {}
-    for a1 in range(M):
-        for e1 in range(2):
-            for a2 in range(M):
-                for e2 in range(2):
-                    coeff = commute.power(e1 * a2) if e1 * a2 else one
-                    a = (a1 + a2) % M
-                    if e1 + e2 < 2:
-                        row = {idx(a, e1 + e2): coeff}
-                    else:
-                        row = {}
-                        if s0:
-                            row[idx(a, 0)] = coeff * s0
-                        if s2:
-                            row[idx((a + 2) % M, 0)] = coeff * s2
-                    if row:
-                        mult[(idx(a1, e1), idx(a2, e2))] = row
-    g_delta = {(idx(1, 0), idx(1, 0)): one}
-    x_delta = {(idx(0, 1), idx(0, 0)): one, (idx(partner_exp, 0), idx(0, 1)): one}
-    # S(g) = g^{M-1};  S(x) = -g^{-partner} x
-    s_g = {idx(M - 1, 0): one}
-    s_x = {idx((-partner_exp) % M, 1): -one}
-    gen_data = {
-        "g": (g_delta, one, s_g),
-        "x": (x_delta, FieldElem.zero(order), s_x),
-    }
-    meta = {
-        "family": family,
-        "basis_labels": _labels(words),
-        "claimed_grouplikes": [{idx(a, 0): one} for a in range(M)],
-        "claimed_generators": {"g": {idx(1, 0): one}, "x": {idx(0, 1): one}},
-        "claimed_matrix_bases": [],
-    }
-    meta.update(extra_meta or {})
-    h = _finish(name, order, words, mult, gen_data, meta)
-    return h, words
+def _cyclic(fam, n):
+    if n < 1:
+        raise ValueError("cyclic order must be >= 1")
+    return group_algebra(parse_group(f"C{n}"), family=fam)
 
 
-def _character_functionals(order, M, allowed, idx):
-    """Algebra maps g -> zeta_M^j, x -> 0 as dual-basis vectors."""
-    out = []
-    for j in allowed:
-        vec = {}
-        for a in range(M):
-            vec[idx(a, 0)] = FieldElem.zeta(order, (a * j * (order // M)) % order)
-        out.append(vec)
-    return out
+def _group_dual(fam, group, order=None):
+    d = hopf_dual(group_algebra(parse_group(group), order=order, family=f"k{group}"))
+    d.name = fam
+    d.metadata["family"] = fam
+    return d
 
 
-def _irrep_functionals(order, M, idx):
-    """Coefficient functionals of the 2-dim irreps rho_j(g)=diag(z^j, z^(j+M/2)),
-    rho_j(x) = [[0, z^(2j)-1],[1,0]]; one block per eigenvalue pair with
-    z^(2j) != 1.  Only used for families with x^2 = g^2 - 1."""
-    half = M // 2
-    step = order // M
-    blocks = []
-    for j in range(1, half):
-        alpha = FieldElem.zeta(order, j * step)
-        beta = alpha * alpha - FieldElem.one(order)
-        rho_g = ((alpha, FieldElem.zero(order)), (FieldElem.zero(order), -alpha))
-        rho_x = (
-            (FieldElem.zero(order), beta),
-            (FieldElem.one(order), FieldElem.zero(order)),
-        )
-        mats = {}
-        cur = ((FieldElem.one(order), FieldElem.zero(order)), (FieldElem.zero(order), FieldElem.one(order)))
-        for a in range(M):
-            mats[(a, 0)] = cur
-            mats[(a, 1)] = _mat_mul(cur, rho_x)
-            cur = _mat_mul(cur, rho_g)
-        block = [[None, None], [None, None]]
-        for u in range(2):
-            for v in range(2):
-                vec = {}
-                for (a, e), mat in mats.items():
-                    c = mat[u][v]
-                    if c:
-                        vec[idx(a, e)] = c
-                block[u][v] = vec
-        blocks.append(block)
-    return blocks
-
-
-def _mat_mul(a, b):
-    return tuple(
-        tuple(sum((a[u][k] * b[k][v] for k in range(2)), start=a[0][0] * 0) for v in range(2))
-        for u in range(2)
-    )
-
-
-def _two_gen_presentation(M, partner_exp, words, relations):
-    return Presentation(
-        gen_names=["g", "x"],
-        grouplike_gens={"g": M},
-        skew_gens={"x": {"g": partner_exp}},
-        words=list(words),
-        relations=relations,
-    )
+def _dual_family(fam, inner):
+    d = hopf_dual(build(inner))
+    d.metadata["family"] = fam
+    return d
 
 
 # ---------------------------------------------------------------------------
-# Taft algebras: basis g^a x^b, 0 <= a,b < N, index b*N + a
+# the family table
 # ---------------------------------------------------------------------------
-
-def _taft(N, family) -> FinHopf:
-    order = N if N >= 3 else 2
-    q = FieldElem.zeta(order, order // N)
-    one = FieldElem.one(order)
-    words = []
-    for b in range(N):
-        for a in range(N):
-            w = []
-            if a:
-                w.append(("g", a))
-            if b:
-                w.append(("x", b))
-            words.append(tuple(w))
-
-    def idx(a, b):
-        return b * N + a
-
-    mult = {}
-    for a1 in range(N):
-        for b1 in range(N):
-            for a2 in range(N):
-                for b2 in range(N):
-                    if b1 + b2 >= N:
-                        continue
-                    coeff = q.power((-b1 * a2) % N) if b1 * a2 else one
-                    mult[(idx(a1, b1), idx(a2, b2))] = {idx((a1 + a2) % N, b1 + b2): coeff}
-    g_delta = {(idx(1, 0), idx(1, 0)): one}
-    x_delta = {(idx(0, 1), idx(0, 0)): one, (idx(1, 0), idx(0, 1)): one}
-    s_g = {idx(N - 1, 0): one}
-    s_x = {idx(N - 1, 1): -one}  # S(x) = -g^{-1}x, already in normal form
-    gen_data = {"g": (g_delta, one, s_g), "x": (x_delta, FieldElem.zero(order), s_x)}
-    meta = {
-        "family": family,
-        "basis_labels": _labels(words),
-        "claimed_grouplikes": [{idx(a, 0): one} for a in range(N)],
-        "claimed_generators": {"g": {idx(1, 0): one}, "x": {idx(0, 1): one}},
-        "claimed_matrix_bases": [],
-        "dual_grouplikes": _character_functionals(order, N, range(N), idx),
-        "dual_matrix_bases": [],
-    }
-    h = _finish(f"T(zeta_{N})" if N > 2 else "H4", order, words, mult, gen_data, meta)
-
-    def relations(images, K):
-        G, X = images["g"], images["x"]
-        failed = []
-        if K.elem_power(G, N) != K.one_elem():
-            failed.append(f"g^{N}=1")
-        if K.elem_power(X, N) != {}:
-            failed.append(f"x^{N}=0")
-        qk = q.embed(K.order) if K.order != q.order else q
-        if K.mul(G, X) != sp_scale(K.mul(X, G), qk):
-            failed.append("gx=q*xg")
-        return failed
-
-    PRESENTATIONS[family] = Presentation(
-        gen_names=["g", "x"],
-        grouplike_gens={"g": N},
-        skew_gens={"x": {"g": 1}},
-        words=words,
-        relations=relations,
-    )
-    return h
-
-
-# ---------------------------------------------------------------------------
-# dim 8, three generators g, x, y: basis g^a x^b y^c, index a + 2b + 4c
-# ---------------------------------------------------------------------------
-
-def _a2(family="a2") -> FinHopf:
-    order = 4
-    one = FieldElem.one(order)
-    words = []
-    for c in range(2):
-        for b in range(2):
-            for a in range(2):
-                w = []
-                if a:
-                    w.append(("g", 1))
-                if b:
-                    w.append(("x", 1))
-                if c:
-                    w.append(("y", 1))
-                words.append(tuple(w))
-
-    def idx(a, b, c):
-        return a + 2 * b + 4 * c
-
-    mult = {}
-    for a1 in range(2):
-        for b1 in range(2):
-            for c1 in range(2):
-                for a2 in range(2):
-                    for b2 in range(2):
-                        for c2 in range(2):
-                            if b1 + b2 >= 2 or c1 + c2 >= 2:
-                                continue
-                            sign = (-1) ** ((b1 + c1) * a2 + c1 * b2)
-                            mult[(idx(a1, b1, c1), idx(a2, b2, c2))] = {
-                                idx((a1 + a2) % 2, b1 + b2, c1 + c2): one * sign
-                            }
-    g = {(idx(1, 0, 0), idx(1, 0, 0)): one}
-    x = {(idx(0, 1, 0), 0): one, (idx(1, 0, 0), idx(0, 1, 0)): one}
-    y = {(idx(0, 0, 1), 0): one, (idx(1, 0, 0), idx(0, 0, 1)): one}
-    zero = FieldElem.zero(order)
-    gen_data = {
-        "g": (g, one, {idx(1, 0, 0): one}),
-        "x": (x, zero, {idx(1, 1, 0): -one}),
-        "y": (y, zero, {idx(1, 0, 1): -one}),
-    }
-    meta = {
-        "family": family,
-        "basis_labels": _labels(words),
-        "claimed_grouplikes": [{0: one}, {idx(1, 0, 0): one}],
-        "claimed_generators": {
-            "g": {idx(1, 0, 0): one},
-            "x": {idx(0, 1, 0): one},
-            "y": {idx(0, 0, 1): one},
-        },
-        "claimed_matrix_bases": [],
-        "dual_grouplikes": [
-            {idx(a, 0, 0): (one if (a * j) % 2 == 0 else -one) for a in range(2)}
-            for j in range(2)
-        ],
-        "dual_matrix_bases": [],
-    }
-    h = _finish("A2", order, words, mult, gen_data, meta)
-
-    def relations(images, K):
-        G, X, Y = images["g"], images["x"], images["y"]
-        failed = []
-        if K.mul(G, G) != K.one_elem():
-            failed.append("g^2=1")
-        for nm, Z in (("x", X), ("y", Y)):
-            if K.mul(Z, Z) != {}:
-                failed.append(f"{nm}^2=0")
-            anti = K.mul(G, Z)
-            sp_add_into(anti, K.mul(Z, G))
-            if anti:
-                failed.append(f"g{nm}+{nm}g=0")
-        anti = K.mul(X, Y)
-        sp_add_into(anti, K.mul(Y, X))
-        if anti:
-            failed.append("xy+yx=0")
-        return failed
-
-    PRESENTATIONS[family] = Presentation(
-        gen_names=["g", "x", "y"],
-        grouplike_gens={"g": 2},
-        skew_gens={"x": {"g": 1}, "y": {"g": 1}},
-        words=words,
-        relations=relations,
-    )
-    return h
-
-
-# ---------------------------------------------------------------------------
-# dim 8, grouplikes C2 x C2: basis g^a h^b x^c, index a + 2b + 4c
-# ---------------------------------------------------------------------------
-
-def _a22(family="a22") -> FinHopf:
-    order = 4
-    one = FieldElem.one(order)
-    words = []
-    for c in range(2):
-        for b in range(2):
-            for a in range(2):
-                w = []
-                if a:
-                    w.append(("g", 1))
-                if b:
-                    w.append(("h", 1))
-                if c:
-                    w.append(("x", 1))
-                words.append(tuple(w))
-
-    def idx(a, b, c):
-        return a + 2 * b + 4 * c
-
-    mult = {}
-    for a1 in range(2):
-        for b1 in range(2):
-            for c1 in range(2):
-                for a2 in range(2):
-                    for b2 in range(2):
-                        for c2 in range(2):
-                            if c1 + c2 >= 2:
-                                continue
-                            sign = (-1) ** (c1 * (a2 + b2))
-                            mult[(idx(a1, b1, c1), idx(a2, b2, c2))] = {
-                                idx((a1 + a2) % 2, (b1 + b2) % 2, c1 + c2): one * sign
-                            }
-    zero = FieldElem.zero(order)
-    gen_data = {
-        "g": ({(idx(1, 0, 0), idx(1, 0, 0)): one}, one, {idx(1, 0, 0): one}),
-        "h": ({(idx(0, 1, 0), idx(0, 1, 0)): one}, one, {idx(0, 1, 0): one}),
-        "x": (
-            {(idx(0, 0, 1), 0): one, (idx(1, 0, 0), idx(0, 0, 1)): one},
-            zero,
-            {idx(1, 0, 1): -one},
-        ),
-    }
-    meta = {
-        "family": family,
-        "basis_labels": _labels(words),
-        "claimed_grouplikes": [
-            {idx(a, b, 0): one} for b in range(2) for a in range(2)
-        ],
-        "claimed_generators": {
-            "g": {idx(1, 0, 0): one},
-            "h": {idx(0, 1, 0): one},
-            "x": {idx(0, 0, 1): one},
-        },
-        "claimed_matrix_bases": [],
-        "dual_grouplikes": [
-            {
-                idx(a, b, 0): (one if (a * j + b * k) % 2 == 0 else -one)
-                for b in range(2)
-                for a in range(2)
-            }
-            for j in range(2)
-            for k in range(2)
-        ],
-        "dual_matrix_bases": [],
-    }
-    h = _finish("A22", order, words, mult, gen_data, meta)
-
-    def relations(images, K):
-        G, H_, X = images["g"], images["h"], images["x"]
-        failed = []
-        if K.mul(G, G) != K.one_elem():
-            failed.append("g^2=1")
-        if K.mul(H_, H_) != K.one_elem():
-            failed.append("h^2=1")
-        if K.mul(G, H_) != K.mul(H_, G):
-            failed.append("gh=hg")
-        if K.mul(X, X) != {}:
-            failed.append("x^2=0")
-        for nm, Z in (("g", G), ("h", H_)):
-            anti = K.mul(Z, X)
-            sp_add_into(anti, K.mul(X, Z))
-            if anti:
-                failed.append(f"{nm}x+x{nm}=0")
-        return failed
-
-    PRESENTATIONS[family] = Presentation(
-        gen_names=["g", "h", "x"],
-        grouplike_gens={"g": 2, "h": 2},
-        skew_gens={"x": {"g": 1}},
-        words=words,
-        relations=relations,
-    )
-    return h
-
-
-# ---------------------------------------------------------------------------
-# dim 8 matrix-like family: basis a^i c^e, index e*4 + i
-# relations a^4 = 1, c^2 = 0, ac = xi ca (xi = zeta_4), and the matrix-like
-# generators are e11 = a, e12 = a^2 c, e21 = c, e22 = a^3
-# ---------------------------------------------------------------------------
-
-def _k8(family="k8") -> FinHopf:
-    order = 4
-    xi = FieldElem.zeta(order)
-    one = FieldElem.one(order)
-    words = []
-    for e in range(2):
-        for i in range(4):
-            w = []
-            if i:
-                w.append(("a", i))
-            if e:
-                w.append(("c", 1))
-            words.append(tuple(w))
-
-    def idx(i, e):
-        return e * 4 + i
-
-    mult = {}
-    for i1 in range(4):
-        for e1 in range(2):
-            for i2 in range(4):
-                for e2 in range(2):
-                    if e1 + e2 >= 2:
-                        continue
-                    coeff = xi.power((-e1 * i2) % 4) if e1 * i2 else one
-                    mult[(idx(i1, e1), idx(i2, e2))] = {idx((i1 + i2) % 4, e1 + e2): coeff}
-    zero = FieldElem.zero(order)
-    a_delta = {(idx(1, 0), idx(1, 0)): one, (idx(2, 1), idx(0, 1)): one}
-    c_delta = {(idx(0, 1), idx(1, 0)): one, (idx(3, 0), idx(0, 1)): one}
-    gen_data = {
-        "a": (a_delta, one, {idx(3, 0): one}),
-        "c": (c_delta, zero, {idx(0, 1): -xi}),
-    }
-    e11 = {idx(1, 0): one}
-    e12 = {idx(2, 1): one}
-    e21 = {idx(0, 1): one}
-    e22 = {idx(3, 0): one}
-    meta = {
-        "family": family,
-        "basis_labels": _labels(words),
-        "claimed_grouplikes": [{0: one}, {idx(2, 0): one}],
-        "claimed_generators": {"a": e11, "b": e12, "c": e21, "d": e22},
-        "claimed_matrix_bases": [[[e11, e12], [e21, e22]]],
-        "dual_grouplikes": [
-            {idx(i, 0): FieldElem.zeta(order, (i * j) % 4) for i in range(4)}
-            for j in range(4)
-        ],
-        "dual_matrix_bases": [],
-    }
-    h = _finish("K8", order, words, mult, gen_data, meta)
-
-    def relations(images, K):
-        A, C = images["a"], images["c"]
-        failed = []
-        if K.elem_power(A, 4) != K.one_elem():
-            failed.append("a^4=1")
-        if K.mul(C, C) != {}:
-            failed.append("c^2=0")
-        xik = xi.embed(K.order) if K.order != 4 else xi
-        if K.mul(A, C) != sp_scale(K.mul(C, A), xik):
-            failed.append("ac=xi*ca")
-        return failed
-
-    PRESENTATIONS[family] = Presentation(
-        gen_names=["a", "c"],
-        grouplike_gens={},
-        skew_gens={},
-        words=words,
-        relations=relations,
-    )
-    return h
-
-
-# ---------------------------------------------------------------------------
-# family registry
-# ---------------------------------------------------------------------------
-
-def parse_family(s: str) -> FamilySpec:
-    s = s.strip()
-    if s.startswith("dual:"):
-        return FamilySpec("dual", (s[5:],))
-    if s == "h4":
-        return FamilySpec("h4")
-    if s in ("a2", "a4p", "a4pp", "a22", "k8"):
-        return FamilySpec(s)
-    if s in ("a4ppp+", "a4ppp-"):
-        return FamilySpec("a4ppp", (1 if s.endswith("+") else -1,))
-    if s.startswith("taft"):
-        return FamilySpec("taft", (int(s[4:]),))
-    if s.startswith("kC") and s.endswith("dual"):
-        return FamilySpec("kCdual", (int(s[2:-4]),))
-    if s.startswith("kD") and s.endswith("dual"):
-        return FamilySpec("kDdual", (int(s[2:-4]),))
-    if s.startswith("kC"):
-        return FamilySpec("kC", (int(s[2:]),))
-    for pref, fid in (("am10d:", "am10d"), ("am10:", "am10"), ("am11:", "am11"), ("h4xc:", "h4xc")):
-        if s.startswith(pref):
-            return FamilySpec(fid, (int(s[len(pref):]),))
-    raise UnknownFamilyError(f"unknown family {s!r}")
-
-
-def family_string(spec: FamilySpec) -> str:
-    fid, p = spec.family_id, spec.params
-    if fid == "dual":
-        return f"dual:{p[0]}"
-    if fid == "taft":
-        return f"taft{p[0]}"
-    if fid == "kC":
-        return f"kC{p[0]}"
-    if fid == "kCdual":
-        return f"kC{p[0]}dual"
-    if fid == "kDdual":
-        return f"kD{p[0]}dual"
-    if fid == "a4ppp":
-        return "a4ppp+" if p[0] == 1 else "a4ppp-"
-    if fid in ("am10", "am10d", "am11", "h4xc"):
-        return f"{fid}:{p[0]}"
-    return fid
-
 
 def _check_odd_prime(p):
     if p < 3 or p % 2 == 0 or any(p % d == 0 for d in range(3, int(p ** 0.5) + 1, 2)):
         raise ValueError(f"parameter must be an odd prime, got {p}")
 
 
+def _gx(name, order, M, k, partner, lift=(0, 0)):
+    """g of order M, x^2 = 0 or the lifting, xg = zeta^k gx, Delta(x) = x(x)1 + g^partner(x)x."""
+    return PointedDatum(name, order, (("g", M),), (("x", 2, {"g": partner}),),
+                        {("x", "g"): k}, lift)
+
+
+def _taft(N):
+    if N < 2:
+        raise ValueError("Taft parameter must be >= 2")
+    order = N if N >= 3 else 2
+    # gx = q xg with q = zeta_N, so xg = q^-1 gx
+    return PointedDatum(f"T(zeta_{N})" if N > 2 else "H4", order, (("g", N),),
+                        (("x", N, {"g": 1}),), {("x", "g"): -(order // N) % order})
+
+
+def _four_p(p, name, partner, lift=(0, 0)):
+    """am10, am11 and h4xc: g of order 2p anticommutes with x."""
+    _check_odd_prime(p)
+    return _gx(name, 2 * p, 2 * p, p, partner, lift)
+
+
+def _am10d(p):
+    _check_odd_prime(p)
+    order = lcm(4, p)
+    # gx = -xi xg with xi = zeta_order^(order/p) a primitive p-th root of unity
+    return _gx(f"A(-1,0)*[p={p}]", order, 2 * p, -(order // 2 + order // p) % order, p)
+
+
+def _k8():
+    # relations a^4 = 1, c^2 = 0, ac = xi ca (xi = zeta_4); the matrix-like
+    # generators are e11 = a, e12 = a^2 c, e21 = c, e22 = a^3
+    e11, e12, e21, e22 = (1, 0), (2, 1), (0, 1), (3, 0)
+    one, zero = FieldElem.one(4), FieldElem.zero(4)
+    return PointedDatum(
+        "K8", 4, (("a", 4),), (("c", 2, {}),), {("c", "a"): 3},
+        override={
+            "coalgebra": {"a": ({(e11, e11): one, (e12, e21): one}, one, {e22: one}),
+                          "c": ({(e21, e11): one, (e22, e21): one}, zero, {e21: -FieldElem.zeta(4)})},
+            "claimed_grouplikes": [(0, 0), (2, 0)],
+            "claimed_generators": {"a": e11, "b": e12, "c": e21, "d": e22},
+            "claimed_matrix_bases": [[[e11, e12], [e21, e22]]],
+        },
+    )
+
+
+# family id -> (family string, "{}" marking the parameter; function of the
+# parameters returning the datum)
+_POINTED = {
+    "taft": ("taft{}", _taft),
+    "h4": ("h4", lambda: _taft(2)),
+    "a2": ("a2", lambda: PointedDatum("A2", 4, (("g", 2),), (("x", 2, {"g": 1}), ("y", 2, {"g": 1})),
+                                      {("x", "g"): 2, ("y", "g"): 2, ("y", "x"): 2})),
+    "a4p": ("a4p", lambda: _gx("A4'", 4, 4, 2, 1)),
+    "a4pp": ("a4pp", lambda: _gx("A4''", 4, 4, 2, 1, lift=(-1, 1))),
+    "a4ppp+": ("a4ppp+", lambda: _gx("A4'''(+)", 4, 4, 3, 2)),
+    "a4ppp-": ("a4ppp-", lambda: _gx("A4'''(-)", 4, 4, 1, 2)),
+    "a22": ("a22", lambda: PointedDatum("A22", 4, (("g", 2), ("h", 2)), (("x", 2, {"g": 1}),),
+                                        {("x", "g"): 2, ("x", "h"): 2})),
+    "k8": ("k8", _k8),
+    "am10": ("am10:{}", lambda p: _four_p(p, f"A(-1,0)[p={p}]", 1)),
+    "am10d": ("am10d:{}", _am10d),
+    "am11": ("am11:{}", lambda p: _four_p(p, f"A(-1,1)[p={p}]", 1, lift=(-1, 1))),
+    "h4xc": ("h4xc:{}", lambda p: _four_p(p, f"H4xC{p}", p)),
+}
+
+# every family; the functions of the non-pointed ones take the family string
+# and the parameters and return the FinHopf.  parse_family tries the patterns
+# in this order, so "kC{}dual" comes before "kC{}".
+_FAMILIES = {
+    "dual": ("dual:{}", _dual_family),
+    "kCdual": ("kC{}dual", lambda fam, n: _group_dual(fam, f"C{n}")),
+    "kDdual": ("kD{}dual", lambda fam, k: _group_dual(fam, f"D{k}", order=k)),
+    "kC": ("kC{}", _cyclic),
+    **_POINTED,
+}
+
+
+def parse_family(s: str) -> FamilySpec:
+    s = s.strip()
+    for fid, (pattern, _) in _FAMILIES.items():
+        prefix, param, suffix = pattern.partition("{}")
+        if not param and s == pattern:
+            return FamilySpec(fid)
+        if param and s.startswith(prefix) and s.endswith(suffix):
+            param = s[len(prefix):len(s) - len(suffix)]
+            return FamilySpec(fid, (param if fid == "dual" else int(param),))
+    raise UnknownFamilyError(f"unknown family {s!r}")
+
+
+def family_string(spec: FamilySpec) -> str:
+    if spec.family_id not in _FAMILIES:
+        raise UnknownFamilyError(f"unknown family id {spec.family_id!r}")
+    return _FAMILIES[spec.family_id][0].format(*spec.params)
+
+
 def _build_unverified(spec: FamilySpec) -> FinHopf:
-    fid, params = spec.family_id, spec.params
     fam = family_string(spec)
-    if fid == "dual":
-        h = build(params[0])
-        d = hopf_dual(h)
-        d.metadata["family"] = fam
-        return d
-    if fid == "kC":
-        (n,) = params
-        if n < 1:
-            raise ValueError("cyclic order must be >= 1")
-        return group_algebra(parse_group(f"C{n}"), family=fam)
-    if fid == "kCdual":
-        (n,) = params
-        d = hopf_dual(group_algebra(parse_group(f"C{n}"), family=f"kC{n}"))
-        d.name = fam
-        d.metadata["family"] = fam
-        return d
-    if fid == "kDdual":
-        (k,) = params
-        d = hopf_dual(group_algebra(parse_group(f"D{k}"), order=k, family=f"kD{k}"))
-        d.name = fam
-        d.metadata["family"] = fam
-        return d
-    if fid == "taft":
-        (N,) = params
-        if N < 2:
-            raise ValueError("Taft parameter must be >= 2")
-        return _taft(N, fam)
-    if fid == "h4":
-        h = _taft(2, "h4")
-        h.name = "H4"
-        return h
-    if fid == "a2":
-        return _a2()
-    if fid == "a22":
-        return _a22()
-    if fid == "k8":
-        return _k8()
-    if fid == "a4p":
-        order = 4
-        h, words = _two_gen_family(
-            "A4'", order, 4, -FieldElem.one(order), (0, 0), 1, fam,
-            extra_meta={
-                "dual_grouplikes": _character_functionals(order, 4, range(4), lambda a, e: e * 4 + a),
-                "dual_matrix_bases": [],
-            },
-        )
-        PRESENTATIONS[fam] = _two_gen_presentation(4, 1, words, _anticommute_relations(4, (0, 0)))
-        return h
-    if fid == "a4pp":
-        order = 4
-        h, words = _two_gen_family(
-            "A4''", order, 4, -FieldElem.one(order), (-1, 1), 1, fam,
-            extra_meta={
-                "dual_grouplikes": _character_functionals(order, 4, (0, 2), lambda a, e: e * 4 + a),
-                "dual_matrix_bases": _irrep_functionals(order, 4, lambda a, e: e * 4 + a),
-            },
-        )
-        PRESENTATIONS[fam] = _two_gen_presentation(4, 1, words, _anticommute_relations(4, (-1, 1)))
-        return h
-    if fid == "a4ppp":
-        (sign,) = params
-        order = 4
-        xi = FieldElem.zeta(order, 1 if sign == 1 else 3)
-        commute = xi.inverse()  # gx = xi xg  =>  xg = xi^{-1} gx
-        h, words = _two_gen_family(
-            f"A4'''({'+' if sign == 1 else '-'})", order, 4, commute, (0, 0), 2, fam,
-            extra_meta={
-                "dual_grouplikes": _character_functionals(order, 4, range(4), lambda a, e: e * 4 + a),
-                "dual_matrix_bases": [],
-            },
-        )
-        PRESENTATIONS[fam] = _two_gen_presentation(4, 2, words, _scaled_commute_relations(4, xi, (0, 0)))
-        return h
-    if fid in ("am10", "am11", "h4xc", "am10d"):
-        (p,) = params
-        _check_odd_prime(p)
-        M = 2 * p
-        if fid == "am10d":
-            order = lcm(4, p)
-            xi = FieldElem.zeta(order, order // p)  # primitive p-th root
-            commute = (-xi).inverse()  # gx = -xi xg
-            h, words = _two_gen_family(
-                f"A(-1,0)*[p={p}]", order, M, commute, (0, 0), p, fam,
-                extra_meta={
-                    "dual_grouplikes": _character_functionals(order, M, range(M), lambda a, e: e * M + a),
-                    "dual_matrix_bases": [],
-                },
-            )
-            PRESENTATIONS[fam] = _two_gen_presentation(M, p, words, _scaled_commute_relations(M, -xi, (0, 0)))
-            return h
-        order = M
-        neg = -FieldElem.one(order)
-        if fid == "am10":
-            x_sq, partner, name = (0, 0), 1, f"A(-1,0)[p={p}]"
-            duals = _character_functionals(order, M, range(M), lambda a, e: e * M + a)
-            dual_blocks = []
-        elif fid == "am11":
-            x_sq, partner, name = (-1, 1), 1, f"A(-1,1)[p={p}]"
-            duals = _character_functionals(order, M, (0, p), lambda a, e: e * M + a)
-            dual_blocks = _irrep_functionals(order, M, lambda a, e: e * M + a)
-        else:
-            x_sq, partner, name = (0, 0), p, f"H4xC{p}"
-            duals = _character_functionals(order, M, range(M), lambda a, e: e * M + a)
-            dual_blocks = []
-        h, words = _two_gen_family(
-            name, order, M, neg, x_sq, partner, fam,
-            extra_meta={"dual_grouplikes": duals, "dual_matrix_bases": dual_blocks},
-        )
-        PRESENTATIONS[fam] = _two_gen_presentation(M, partner, words, _anticommute_relations(M, x_sq))
-        return h
-    raise UnknownFamilyError(f"unknown family id {fid!r}")
+    make = _FAMILIES[spec.family_id][1]
+    if spec.family_id in _POINTED:
+        return _build_pointed(make(*spec.params), fam)
+    return make(fam, *spec.params)
 
 
-def _anticommute_relations(M, x_sq):
-    def relations(images, K):
-        G, X = images["g"], images["x"]
-        failed = []
-        if K.elem_power(G, M) != K.one_elem():
-            failed.append(f"g^{M}=1")
-        rhs = sp_scale(K.one_elem(), K.scalar(x_sq[0]))
-        sp_add_into(rhs, K.mul(G, G), K.scalar(x_sq[1]))
-        if K.mul(X, X) != rhs:
-            failed.append("x^2")
-        anti = K.mul(G, X)
-        sp_add_into(anti, K.mul(X, G))
-        if anti:
-            failed.append("gx+xg=0")
-        return failed
-
-    return relations
+def _datum(fam: str) -> PointedDatum | None:
+    """The datum of a pointed family (or k8); None for any other name."""
+    try:
+        spec = parse_family(fam)
+        return _POINTED[spec.family_id][1](*spec.params) if spec.family_id in _POINTED else None
+    except ValueError:  # not a family name, or a parameter out of range
+        return None
 
 
-def _scaled_commute_relations(M, xi, x_sq):
-    """gx = xi * xg (for a4ppp with xi = +-zeta_4; for am10d with xi = -zeta_p)."""
+def presentation(family) -> Presentation | None:
+    """Generators, basis words and defining relations of a pointed family (or
+    k8); None for any other family or name."""
+    datum = _datum(family) if isinstance(family, str) else None
+    if datum is None:
+        return None
+    basis = _Basis(datum)
+    commute = [(a, b, datum.commute.get((a, b), 0))
+               for ai, a in enumerate(basis.gens) for b in basis.gens[:ai]]
 
     def relations(images, K):
-        G, X = images["g"], images["x"]
+        step = K.order // datum.order
         failed = []
-        if K.elem_power(G, M) != K.one_elem():
-            failed.append(f"g^{M}=1")
-        rhs = sp_scale(K.one_elem(), K.scalar(x_sq[0]))
-        sp_add_into(rhs, K.mul(G, G), K.scalar(x_sq[1]))
-        if K.mul(X, X) != rhs:
-            failed.append("x^2")
-        xik = xi.embed(K.order) if xi.order != K.order else xi
-        if K.mul(G, X) != sp_scale(K.mul(X, G), xik):
-            failed.append("gx=xi*xg")
+        for g, m in datum.grouplike:
+            if K.elem_power(images[g], m) != K.one_elem():
+                failed.append(f"{g}^{m}=1")
+        s0, s2 = (K.scalar(s) for s in datum.lift)
+        for x, n, w in datum.skew:
+            rhs = sp_scale(K.one_elem(), s0)
+            if s2:
+                w_image = reduce(K.mul, (K.elem_power(images[g], k) for g, k in w.items()))
+                sp_add_into(rhs, K.elem_power(w_image, n), s2)
+            if K.elem_power(images[x], n) != rhs:
+                failed.append(f"{x}^{n}")
+        for a, b, k in commute:
+            # b*a = q a*b with q = zeta^-k
+            q = FieldElem.zeta(K.order, -k * step)
+            if K.mul(images[b], images[a]) != sp_scale(K.mul(images[a], images[b]), q):
+                failed.append(f"{b}{a}={a}{b}" if q == 1 else f"{b}{a}+{a}{b}=0" if q == -1
+                              else f"{b}{a}=q*{a}{b}")
         return failed
 
-    return relations
+    pointed = datum.override is None
+    return Presentation(
+        gen_names=list(basis.gens),
+        grouplike_gens=dict(datum.grouplike) if pointed else {},
+        skew_gens={x: dict(w) for x, _, w in datum.skew} if pointed else {},
+        words=basis.words,
+        relations=relations,
+    )
 
 
 _BUILD_CACHE: dict[str, FinHopf] = {}
 
 
-def build(spec, verify=True) -> FinHopf:
+def build(spec) -> FinHopf:
     """Construct and verify an atlas family; hard error on any failure."""
     if isinstance(spec, str):
         spec = parse_family(spec)
@@ -851,59 +530,40 @@ def build(spec, verify=True) -> FinHopf:
     if fam in _BUILD_CACHE:
         return _BUILD_CACHE[fam]
     h = _build_unverified(spec)
-    if verify:
-        rep = verify_bialgebra(h)
-        if not rep.ok:
-            raise AtlasConstructionError(f"{fam}: bialgebra axioms failed: {rep.failures[:3]}")
-        rep = verify_antipode(h)
-        if not rep.ok:
-            raise AtlasConstructionError(f"{fam}: antipode axioms failed: {rep.failures[:3]}")
-        _verify_metadata_claims(h, fam)
+    rep = verify_bialgebra(h)
+    rep.failures += verify_antipode(h).failures
+    if not rep.ok:
+        raise AtlasConstructionError(f"{fam}: axioms failed: {rep.failures[:3]}", rep)
+    _verify_metadata_claims(h, fam)
     _BUILD_CACHE[fam] = h
     return h
 
 
 def _verify_metadata_claims(h: FinHopf, fam: str):
-    one = FieldElem.one(h.order)
-    for g in h.metadata.get("claimed_grouplikes", []):
-        if h.delta(g) != h.tensor_elem(g, g) or h.eps(g) != 1:
-            raise AtlasConstructionError(f"{fam}: claimed grouplike fails Delta/eps")
-        if h.mul(h.s(g), g) != h.one_elem() or h.mul(g, h.s(g)) != h.one_elem():
-            raise AtlasConstructionError(f"{fam}: claimed grouplike not a unit")
-    for block in h.metadata.get("claimed_matrix_bases", []):
-        d = len(block)
-        for u in range(d):
-            for v in range(d):
-                expect = {}
-                for l in range(d):
-                    sp_add_into(expect, h.tensor_elem(block[u][l], block[l][v]))
-                if h.delta(block[u][v]) != expect:
-                    raise AtlasConstructionError(f"{fam}: matrix-like comult fails at {(u, v)}")
-                target = one if u == v else FieldElem.zero(h.order)
-                if h.eps(block[u][v]) != target:
-                    raise AtlasConstructionError(f"{fam}: matrix-like counit fails at {(u, v)}")
-        vecs = [block[u][v] for u in range(d) for v in range(d)]
-        if Subspace.from_vectors(h.order, h.dim, vecs).dim != d * d:
-            raise AtlasConstructionError(f"{fam}: matrix-like basis not independent")
-    for phi in h.metadata.get("dual_grouplikes", []):
-        if _functional_on(h, phi, h.one_elem()) != 1:
-            raise AtlasConstructionError(f"{fam}: dual grouplike is not unital")
-        for i in range(h.dim):
-            for j in range(h.dim):
-                prod = h.mul(h.basis_elem(i), h.basis_elem(j))
-                lhs = _functional_on(h, phi, prod)
-                rhs = _functional_on(h, phi, h.basis_elem(i)) * _functional_on(h, phi, h.basis_elem(j))
-                if lhs != rhs:
-                    raise AtlasConstructionError(f"{fam}: dual grouplike not multiplicative at {(i, j)}")
-
-
-def _functional_on(h, phi, elem):
-    total = FieldElem.zero(h.order)
-    for i, c in elem.items():
-        v = phi.get(i)
-        if v:
-            total = total + v * c
-    return total
+    """Claimed grouplikes and matrix-like bases, of h and (the dual_* claims)
+    of its dual."""
+    for k, side in ((h, ""), (hopf_dual(h), "dual ")):
+        one = FieldElem.one(k.order)
+        for g in k.metadata.get("claimed_grouplikes", []):
+            if k.delta(g) != k.tensor_elem(g, g) or k.eps(g) != 1:
+                raise AtlasConstructionError(f"{fam}: {side}claimed grouplike fails Delta/eps")
+            if k.mul(k.s(g), g) != k.one_elem() or k.mul(g, k.s(g)) != k.one_elem():
+                raise AtlasConstructionError(f"{fam}: {side}claimed grouplike not a unit")
+        for block in k.metadata.get("claimed_matrix_bases", []):
+            d = len(block)
+            for u in range(d):
+                for v in range(d):
+                    expect = {}
+                    for l in range(d):
+                        sp_add_into(expect, k.tensor_elem(block[u][l], block[l][v]))
+                    if k.delta(block[u][v]) != expect:
+                        raise AtlasConstructionError(f"{fam}: {side}matrix-like comult fails at {(u, v)}")
+                    target = one if u == v else FieldElem.zero(k.order)
+                    if k.eps(block[u][v]) != target:
+                        raise AtlasConstructionError(f"{fam}: {side}matrix-like counit fails at {(u, v)}")
+            vecs = [block[u][v] for u in range(d) for v in range(d)]
+            if Subspace.from_vectors(k.order, k.dim, vecs).dim != d * d:
+                raise AtlasConstructionError(f"{fam}: {side}matrix-like basis not independent")
 
 
 def list_families(max_group=12, primes=(3, 5)):
@@ -969,45 +629,32 @@ def builtin_witnesses():
     """Shipped duality / change-of-basis witnesses, as IsoWitness values."""
     from .isowitness import IsoWitness
 
-    out = []
-    for rec in _WITNESS_DATA:
-        images = {
+    return [
+        IsoWitness(rec["source"], rec["target"], {
             gen: {int(i): FieldElem.from_strings(rec["N"], coords) for i, coords in vec.items()}
             for gen, vec in rec["images"].items()
-        }
-        out.append(IsoWitness(rec["source"], rec["target"], images))
-    return out
+        })
+        for rec in _WITNESS_DATA
+    ]
 
 
 # ---------------------------------------------------------------------------
 # sub-Hopf-algebra claims: which families contain a copy of h4
 # ---------------------------------------------------------------------------
 
-# positive claims: frozen generator words (g-image, x-image) as basis indices
-_H4_EMBEDDINGS = {
-    "a2": (1, 2),
-    "a22": (1, 4),
-    "a4ppp+": (2, 4),
-    "a4ppp-": (2, 4),
-}
-_H4_NEGATIVE = ("a4p", "a4pp")
-
-
 def _h4_embedding_indices(fam):
-    if fam in _H4_EMBEDDINGS:
-        return _H4_EMBEDDINGS[fam]
-    spec = parse_family(fam)
-    if spec.family_id in ("am10d", "h4xc"):
-        p = spec.params[0]
-        return (p, 2 * p)  # g -> g^p, x -> x
+    """Basis indices of the images of h4's g and x in a pointed family: w and x
+    for its first skew generator x when x^2 = 0 and the partner w has order 2
+    (then wx = -xw).  None otherwise: the family claims to contain no h4."""
+    datum = _datum(fam)
+    if datum is None or datum.override is not None:
+        raise UnknownFamilyError(f"no sub-Hopf claim recorded for {fam!r}")
+    x, n, w = datum.skew[0]
+    basis = _Basis(datum)
+    w_squared = basis.of({g: 2 * k for g, k in w.items()})
+    if n == 2 and not any(datum.lift) and basis.of(w) != 0 and w_squared == 0:  # w^2 = 1 != w
+        return basis.of(w), basis.of({x: 1})
     return None
-
-
-def _h4_is_negative(fam):
-    if fam in _H4_NEGATIVE:
-        return True
-    spec = parse_family(fam)
-    return spec.family_id in ("am10", "am11")
 
 
 @dataclass
@@ -1028,17 +675,13 @@ def sub_hopf_claims(fam: str) -> SubHopfClaim:
     h4 = build("h4")
     pos = _h4_embedding_indices(fam)
     if pos is not None:
-        g_idx, x_idx = pos
-        G = h.basis_elem(g_idx)
-        X = h.basis_elem(x_idx)
+        G, X = (h.basis_elem(i) for i in pos)
         cols = [h.one_elem(), G, X, h.mul(G, X)]
         f = LinearMap(h.order, 4, h.dim, cols)
         rep = verify_hopf_morphism(f, h4.embed(h.order), h)
         if not rep.ok or f.rank() != 4:
             raise AtlasConstructionError(f"{fam}: shipped h4 embedding fails verification")
         return SubHopfClaim(fam, True, embedding=f)
-    if not _h4_is_negative(fam):
-        raise UnknownFamilyError(f"no sub-Hopf claim recorded for {fam!r}")
     rep = inv.grouplikes(h)
     if not rep.complete:
         raise AtlasConstructionError(f"{fam}: grouplikes not certified, cannot certify absence")
@@ -1050,20 +693,10 @@ def sub_hopf_claims(fam: str) -> SubHopfClaim:
         # the skew generator to a nonzero v in P_{1,c} with cv+vc=0, v^2=0
         space = inv.skew_space(h, h.one_elem(), g)
         basis = space.basis_vectors()
-        anticomm_cols = []
-        for b in basis:
-            a = h.mul(g, b)
-            sp_add_into(a, h.mul(b, g))
-            anticomm_cols.append(a)
-        from .linalg import kernel_of_columns
-
+        anticomm_cols = [sp_add_into(h.mul(g, b), h.mul(b, g)) for b in basis]
         coeffs = kernel_of_columns(h.order, h.dim, anticomm_cols, len(basis))
-        witnesses = []
-        for t in coeffs.basis_vectors():
-            v = {}
-            for bi, c in t.items():
-                sp_add_into(v, sp_scale(basis[bi], c))
-            witnesses.append(v)
+        span = LinearMap(h.order, len(basis), h.dim, basis)
+        witnesses = [span.apply(t) for t in coeffs.basis_vectors()]
         if len(witnesses) == 0:
             evidence.append({"skew_dim": space.dim, "anticommutant_dim": 0})
         elif len(witnesses) == 1:
@@ -1095,17 +728,13 @@ def shipped_surjections():
     t = tensor_hopf(h4, kc3)  # index (i,a) -> i*3 + a
     cols_to_h4 = [{i: FieldElem.one(t.order)} for i in range(4) for _ in range(3)]
     pi1 = LinearMap(t.order, 12, 4, cols_to_h4)
-    cols_to_kc3 = []
-    for i in range(4):
-        e = h4.counit.get(i)
-        for a in range(3):
-            cols_to_kc3.append({a: e.embed(t.order)} if e else {})
+    cols_to_kc3 = [{a: h4.counit[i].embed(t.order)} if h4.counit.get(i) else {}
+                   for i in range(4) for a in range(3)]
     pi2 = LinearMap(t.order, 12, 3, cols_to_kc3)
-    ident = LinearMap.identity(h4.order, 4)
     return {
         "h4xc3-to-h4": (t, h4, pi1),
         "h4xc3-to-kc3": (t, kc3, pi2),
-        "id-h4": (h4, h4, ident),
+        "id-h4": (h4, h4, LinearMap.identity(h4.order, 4)),
     }
 
 
@@ -1114,14 +743,8 @@ def matrix_coalgebra(d: int):
     (dim, comult, counit) with basis e_uv at index u*d + v."""
     if d < 1:
         raise ValueError("matrix coalgebra needs d >= 1")
-    order = 2
-    one = FieldElem.one(order)
-    comult = {}
-    counit = {}
-    for u in range(d):
-        for v in range(d):
-            i = u * d + v
-            comult[i] = {(u * d + l, l * d + v): one for l in range(d)}
-            if u == v:
-                counit[i] = one
+    one = FieldElem.one(2)
+    comult = {u * d + v: {(u * d + l, l * d + v): one for l in range(d)}
+              for u in range(d) for v in range(d)}
+    counit = {u * d + u: one for u in range(d)}
     return d * d, comult, counit

@@ -3,20 +3,17 @@
 Exit codes: 0 all checks in the invocation passed; 1 a mathematical check
 failed; 2 usage error / unknown verb or flag; 3 invalid family name or
 parameter; 4 file I/O failure.  Identical invocations produce byte-identical
-output.  HOPFATLAS_THREADS bounds suite parallelism (default: machine cores).
+output.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import invariants as inv
-from .atlas import UnknownFamilyError, build, shipped_surjections
-from .hopf import coinvariants, hopf_dual, verify_antipode, verify_bialgebra, \
-    verify_hopf_morphism
+from .atlas import AtlasConstructionError, build, shipped_surjections
+from .hopf import coinvariants, hopf_dual, verify_hopf_morphism
 from .isowitness import search_iso, verify_iso
 from .prover import Assumptions, ProverError, prove, replay
 from .scalars import FieldElem
@@ -30,31 +27,34 @@ EXIT_BAD_PARAMETER = 3
 EXIT_IO = 4
 
 
-class CliCheckFailure(Exception):
-    pass
+def _exit(code, error):
+    print(f"error: {error}", file=sys.stderr)
+    sys.exit(code)
 
 
 def _build(fam):
     try:
         return build(fam)
-    except UnknownFamilyError as e:
-        print(f"error: {e}", file=sys.stderr)
-        sys.exit(EXIT_BAD_PARAMETER)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        sys.exit(EXIT_BAD_PARAMETER)
+    except AtlasConstructionError as e:
+        _exit(EXIT_CHECK_FAILED, e)
+    except ValueError as e:  # UnknownFamilyError included
+        _exit(EXIT_BAD_PARAMETER, e)
 
 
 def cmd_verify(args):
-    h = _build(args.family)
-    rep_b = verify_bialgebra(h)
-    rep_a = verify_antipode(h)
-    if rep_b.ok and rep_a.ok:
-        print("ok: bialgebra, antipode")
-        return EXIT_OK
-    for axiom, witness, msg in rep_b.failures + rep_a.failures:
-        print(f"FAIL {axiom} at {witness} {msg}")
-    return EXIT_CHECK_FAILED
+    # build() runs the bialgebra and antipode checkers; a failure carries their report
+    try:
+        build(args.family)
+    except AtlasConstructionError as e:
+        # a failed metadata claim carries no report
+        failures = [("metadata-claims", (), str(e))] if e.report is None else e.report.failures
+        for axiom, witness, msg in failures:
+            print(f"FAIL {axiom} at {witness} {msg}")
+        return EXIT_CHECK_FAILED
+    except ValueError as e:
+        _exit(EXIT_BAD_PARAMETER, e)
+    print("ok: bialgebra, antipode")
+    return EXIT_OK
 
 
 def cmd_invariants(args):
@@ -252,16 +252,10 @@ def cmd_table(args):
 
 
 def cmd_suite(args):
-    from .acceptance import CRITERIA
+    from .acceptance import run_all
 
-    workers = int(os.environ.get("HOPFATLAS_THREADS", 0)) or (os.cpu_count() or 1)
-    results = [None] * len(CRITERIA)
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        futures = {pool.submit(fn, args.seed): i for i, (_, _, fn) in enumerate(CRITERIA)}
-        for fut, i in futures.items():
-            results[i] = fut.result()
     all_ok = True
-    for (cid, desc, _), (ok, detail) in zip(CRITERIA, results):
+    for cid, desc, ok, detail in run_all(args.seed):
         all_ok &= ok
         print(f"{cid:5s} {'PASS' if ok else 'FAIL'}  {desc}: {detail}")
     print("suite: " + ("all criteria passed" if all_ok else "FAILURES PRESENT"))

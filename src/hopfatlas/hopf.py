@@ -85,15 +85,9 @@ class FinHopf:
                     sp_add_into(out, row, a * b)
         return out
 
-    def mul_many(self, elems) -> dict:
-        acc = self.one_elem()
-        for e in elems:
-            acc = self.mul(acc, e)
-        return acc
-
     def elem_power(self, u: dict, k: int) -> dict:
-        acc = self.one_elem()
-        for _ in range(k):
+        acc = self.one_elem() if k <= 0 else dict(u)
+        for _ in range(k - 1):
             acc = self.mul(acc, u)
         return acc
 
@@ -143,9 +137,6 @@ class FinHopf:
 
     def flatten_pairs(self, t: dict) -> dict:
         return {j * self.dim + k: c for (j, k), c in t.items()}
-
-    def unflatten_pairs(self, vec: dict) -> dict:
-        return {(i // self.dim, i % self.dim): c for i, c in vec.items()}
 
     # -- whole-algebra helpers -------------------------------------------------
 
@@ -279,16 +270,21 @@ def verify_antipode(h: FinHopf) -> Report:
     return rep
 
 
+def transpose_table(table: dict) -> dict:
+    """{a: {b: c}} -> {b: {a: c}}.  The multiplication of H^* is the
+    transposed comultiplication of H, and its comultiplication the
+    transposed multiplication."""
+    out = {}
+    for a, row in table.items():
+        for b, c in row.items():
+            out.setdefault(b, {})[a] = c
+    return out
+
+
 def hopf_dual(h: FinHopf) -> FinHopf:
     """Transpose all structure; claimed metadata swaps with the dual claims."""
-    mult = {}
-    for i, row in h.comult.items():
-        for (j, k), c in row.items():
-            mult.setdefault((j, k), {})[i] = c
-    comult = {}
-    for (i, j), row in h.mult.items():
-        for k, c in row.items():
-            comult.setdefault(k, {})[(i, j)] = c
+    mult = transpose_table(h.comult)
+    comult = transpose_table(h.mult)
     meta = dict(h.metadata)
     swapped = dict(meta)
     for a, b in (
@@ -368,13 +364,6 @@ def tensor_hopf(h: FinHopf, k: FinHopf) -> FinHopf:
     return FinHopf(
         f"{h.name}(x){k.name}", h.dim * nk, order, mult, unit, comult, counit, anti, meta,
     )
-
-
-def common_order(*hs: FinHopf) -> int:
-    out = 1
-    for h in hs:
-        out = lcm(out, h.order)
-    return out
 
 
 def equal_tensors(h: FinHopf, k: FinHopf) -> bool:
@@ -461,7 +450,3 @@ def coinvariants(h: FinHopf, k: FinHopf, pi: LinearMap, side: str = "right") -> 
             f"{h.dim} != {result.dim} * {k.dim} (coinvariant dimension law)"
         )
     return result
-
-
-def linear_kernel(f: LinearMap) -> Subspace:
-    return f.kernel()

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .hopf import FinHopf, hopf_dual
+from .hopf import FinHopf, hopf_dual, transpose_table
 from .linalg import Echelon, LinearMap, Subspace, sp_add_into
 from .scalars import FieldElem
 
@@ -26,25 +26,6 @@ class InvariantError(RuntimeError):
 # ---------------------------------------------------------------------------
 # algebra-level helpers (operate on a mult table, used for H and for H*)
 # ---------------------------------------------------------------------------
-
-def dual_mult_table(h: FinHopf) -> dict:
-    mult = {}
-    for i, row in h.comult.items():
-        for (j, k), c in row.items():
-            mult.setdefault((j, k), {})[i] = c
-    return mult
-
-
-def _left_mult_entries(mult, i):
-    """Sparse entries (col m, row k) -> coeff of the left-multiplication matrix L_i."""
-    out = {}
-    for (a, m), row in mult.items():
-        if a != i:
-            continue
-        for k, c in row.items():
-            out[(m, k)] = c
-    return out
-
 
 def trace_gram(mult: dict, dim: int, order: int):
     """Gram matrix of the trace form (i,j) -> Tr(L_i L_j), as column dicts."""
@@ -149,7 +130,7 @@ def ideal_closure(mult, dim, order, generators) -> Subspace:
 def radical_of_dual(h: FinHopf) -> Subspace:
     """Jacobson radical of H^* as a subspace of dual coordinates; verified
     nilpotent, with a semisimple (nondegenerate trace form) quotient."""
-    mult = dual_mult_table(h)
+    mult = transpose_table(h.comult)  # multiplication of H^*
     rad = trace_form_radical(mult, h.dim, h.order)
     if not verify_nilpotent(mult, h.dim, h.order, rad):
         raise InvariantError(f"{h.name}: trace-form radical is not nilpotent")
@@ -240,7 +221,7 @@ class GrouplikeReport:
 def grouplike_count_bound(h: FinHopf) -> int:
     """Semisimple dimension of H^*/(commutator ideal); counts one-dimensional
     simple blocks over the closure, an exact upper bound for |G(H)|."""
-    mult = dual_mult_table(h)
+    mult = transpose_table(h.comult)  # multiplication of H^*
     n, order = h.dim, h.order
     gens = []
     for i in range(n):

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from math import lcm
 
 from . import invariants as inv
-from .atlas import PRESENTATIONS, build
-from .hopf import FinHopf, Report, verify_hopf_morphism
+from .atlas import build, presentation
+from .hopf import FinHopf, Report, hopf_dual, verify_hopf_morphism
 from .linalg import LinearMap, sp_add_into, sp_scale
 from .scalars import FieldElem
 
@@ -43,8 +43,15 @@ def _images_at_order(images, order):
     return {k: {i: c.embed(order) for i, c in v.items()} for k, v in images.items()}
 
 
+def _presentation(h: FinHopf):
+    pres = presentation(h.metadata.get("family"))
+    if pres is None:
+        raise WitnessError(f"no presentation registered for {h.name!r}")
+    return pres
+
+
 def induced_map(source: FinHopf, target: FinHopf, images: dict) -> LinearMap:
-    pres = PRESENTATIONS[source.metadata["family"]]
+    pres = _presentation(source)
     cols = []
     for word in pres.words:
         elem = target.one_elem()
@@ -58,9 +65,7 @@ def induced_map(source: FinHopf, target: FinHopf, images: dict) -> LinearMap:
 def verify_iso(h: FinHopf, k: FinHopf, witness: IsoWitness) -> Report:
     """Extend generator images along the source basis; check relations,
     bijectivity, and the full morphism axioms."""
-    fam = h.metadata.get("family")
-    if fam not in PRESENTATIONS:
-        raise WitnessError(f"no presentation registered for source {h.name!r}")
+    pres = _presentation(h)
     if h.dim != k.dim:
         rep = Report(f"iso({h.name}->{k.name})")
         rep.fail("dimension", (h.dim, k.dim))
@@ -71,7 +76,6 @@ def verify_iso(h: FinHopf, k: FinHopf, witness: IsoWitness) -> Report:
             order = lcm(order, c.order)
     hs, ks = h.embed(order), k.embed(order)
     images = _images_at_order(witness.generator_images, order)
-    pres = PRESENTATIONS[fam]
     rep = Report(f"iso({h.name}->{k.name})")
     failed = pres.relations(images, ks)
     if failed:
@@ -136,9 +140,7 @@ def search_iso(h: FinHopf, k: FinHopf, grid=None, budget: int = 200000):
     "none found (grid exhausted)"; exhaustion is NOT a non-isomorphism proof.
     """
     fam = h.metadata.get("family")
-    if fam not in PRESENTATIONS:
-        raise WitnessError(f"no presentation registered for {h.name!r}")
-    pres = PRESENTATIONS[fam]
+    pres = _presentation(h)
     if not pres.grouplike_gens and pres.skew_gens == {}:
         raise WitnessError(f"{fam}: search supports grouplike/skew generated families")
     if h.dim != k.dim:
@@ -264,7 +266,7 @@ def distinguish(h: FinHopf, k: FinHopf):
     for name, a, b in checks:
         if a != b:
             return (name, a, b)
-    dh, dk = inv.coradical_filtration(hopf_dual_cached(h)), inv.coradical_filtration(hopf_dual_cached(k))
+    dh, dk = inv.coradical_filtration(hopf_dual(h)), inv.coradical_filtration(hopf_dual(k))
     if dh.layer_dims != dk.layer_dims:
         return ("dual_filtration_dims", tuple(dh.layer_dims), tuple(dk.layer_dims))
     return None
@@ -272,9 +274,3 @@ def distinguish(h: FinHopf, k: FinHopf):
 
 def _skew_multiset(summary):
     return tuple(sorted(summary.skew_table.values()))
-
-
-def hopf_dual_cached(h):
-    from .hopf import hopf_dual
-
-    return hopf_dual(h)

@@ -51,11 +51,6 @@ def sp_from_dense(order, dense) -> dict:
     return out
 
 
-def sp_to_dense(order, vec: dict, length: int):
-    zero = FieldElem.zero(order)
-    return tuple(vec.get(i, zero) for i in range(length))
-
-
 class Echelon:
     """Incremental forward echelon of sparse rows; canonicalize() yields RREF."""
 
@@ -210,10 +205,6 @@ class LinearMap:
         self.columns = cols
 
     @classmethod
-    def from_columns(cls, order, source_dim, target_dim, columns):
-        return cls(order, source_dim, target_dim, columns)
-
-    @classmethod
     def identity(cls, order, dim):
         one = FieldElem.one(order)
         return cls(order, dim, dim, [{i: one} for i in range(dim)])
@@ -301,17 +292,3 @@ def preimage_of_subspace(order, columns, nvars, target: Subspace) -> Subspace:
     residuals = [target.reduce(col) for col in columns]
     return kernel_of_columns(order, target.ambient, residuals, nvars)
 
-
-def solve_column(order, ambient, columns, nvars, rhs: dict):
-    """One solution x of sum x_j columns[j] = rhs, or None."""
-    ech = Echelon(order, ambient + nvars)
-    one = FieldElem.one(order)
-    for j in range(nvars):
-        row = dict(columns[j])
-        row[ambient + j] = one
-        ech.insert(row)
-    res = ech.reduce(dict(rhs))
-    if res and min(res) < ambient:
-        return None
-    # res = rhs - sum x_j col_j supported on tag coordinates only
-    return {j - ambient: -c for j, c in res.items()}

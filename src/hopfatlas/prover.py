@@ -21,6 +21,8 @@ import json
 from dataclasses import dataclass
 from math import gcd, lcm
 
+from .scalars import divisors
+
 PROVER_MIN_DIM = 4
 PROVER_MAX_DIM = 200
 
@@ -246,10 +248,6 @@ AXIOMS = {"pq-half-dim": ("A-pq-half-dim", _axiom_pq_half_dim)}
 # ---------------------------------------------------------------------------
 # profile enumeration
 # ---------------------------------------------------------------------------
-
-def divisors(n):
-    return [d for d in range(1, n + 1) if n % d == 0]
-
 
 def enumerate_profiles(n, assumptions: Assumptions, g=None):
     """All admissible profiles in deterministic order (by g, then blocks)."""

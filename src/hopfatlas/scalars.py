@@ -18,6 +18,7 @@ class FieldOrderMismatch(ValueError):
     """Raised when two FieldElems from different Q(zeta_N) are combined."""
 
 
+@lru_cache(maxsize=None)
 def totient(n: int) -> int:
     assert n >= 1
     count = 0
@@ -116,6 +117,10 @@ class FieldElem:
 
     @classmethod
     def from_rational(cls, q, order: int) -> "FieldElem":
+        """q is an int, a Fraction or a string such as "1/2"; floats are
+        refused because they are not exact."""
+        if isinstance(q, float):
+            raise TypeError(f"inexact float {q!r}; pass an int, Fraction or string")
         coords = [Fraction(q)] + [Fraction(0)] * (totient(order) - 1)
         return cls(order, coords)
 
@@ -286,6 +291,9 @@ class FieldElem:
         return self.order == other.order and self.coords == other.coords
 
     def __hash__(self):
+        # a rational element equals the int or Fraction of its value
+        if self.is_rational():
+            return hash(self.coords[0])
         return hash((self.order, self.coords))
 
     def embed(self, target_order: int) -> "FieldElem":
@@ -371,19 +379,6 @@ def _poly_sub(a, b):
     while out and out[-1] == 0:
         out.pop()
     return out
-
-
-def field_arith(a: FieldElem, b: FieldElem, op: str) -> FieldElem:
-    """Spec surface: add/sub/mul/div with explicit errors."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
 
 
 def embed(a: FieldElem, target_order: int) -> FieldElem:

@@ -35,6 +35,8 @@ def test_parse_errors():
         build("am10:4")  # not an odd prime
     with pytest.raises(ValueError):
         build("am11:9")
+    with pytest.raises(UnknownFamilyError):
+        sub_hopf_claims("k8")  # its generators are not grouplike or skew-primitive
 
 
 def test_sweedler_structure():
@@ -132,7 +134,7 @@ def test_witness_files_round_trip():
 
 
 def test_h4_embedding_maps_are_injective_morphisms():
-    for fam in ("a2", "a22", "a4ppp+", "am10d:5", "h4xc:5"):
+    for fam in ("a2", "a22", "a4ppp+", "am10d:5", "h4xc:5", "h4"):
         claim = sub_hopf_claims(fam)
         assert claim.contains_h4
         h4 = build("h4")
@@ -142,7 +144,7 @@ def test_h4_embedding_maps_are_injective_morphisms():
 
 
 def test_negative_certificates_exhaustive():
-    for fam in ("a4p", "a4pp", "am10:5", "am11:5"):
+    for fam in ("a4p", "a4pp", "am10:5", "am11:5", "taft4"):
         claim = sub_hopf_claims(fam)
         assert not claim.contains_h4
         cert = claim.certificate
@@ -178,3 +180,32 @@ def test_matrix_coalgebra_only():
             if e:
                 sp_add_into(lc, {k: c * e})
         assert list(lc) == [i] and lc[i] == 1
+
+
+def test_pointed_relations_accept_identity_and_reject_perturbed():
+    from hopfatlas.atlas import presentation
+    from hopfatlas.linalg import sp_add_into
+
+    pointed = [f for f in list_families() if not f.startswith("kC") and not f.startswith("kD")]
+    assert len(pointed) == 19
+    for fam in pointed:
+        h, pres = build(fam), presentation(fam)
+        images = {g: h.basis_elem(pres.words.index(((g, 1),))) for g in pres.gen_names}
+        assert pres.relations(images, h) == [], fam
+        for g in pres.gen_names:
+            # g + 1 breaks the power relation of every generator kind
+            bent = dict(images)
+            bent[g] = sp_add_into(dict(images[g]), h.one_elem())
+            assert pres.relations(bent, h), (fam, g)
+    assert presentation("kC3") is None and presentation("dual:taft2") is None
+    assert presentation(None) is None and presentation("nope") is None
+
+
+def test_k8_relation_names_and_presentation():
+    from hopfatlas.atlas import presentation
+
+    pres = presentation("k8")
+    assert pres.gen_names == ["a", "c"] and pres.grouplike_gens == {} and pres.skew_gens == {}
+    k8 = build("k8")
+    swapped = {"a": k8.basis_elem(4), "c": k8.basis_elem(1)}
+    assert set(pres.relations(swapped, k8)) >= {"a^4=1", "c^2"}

@@ -22,6 +22,31 @@ def test_invariants_k8(capsys):
     assert "corad_dim=6" in out and "r=2" in out
 
 
+def test_verify_reports_construction_failure(monkeypatch, capsys):
+    from hopfatlas import atlas
+    from hopfatlas.hopf import FinHopf
+    from hopfatlas.linalg import LinearMap
+
+    construct = atlas._build_unverified
+
+    def broken(spec):
+        # the family with the identity as antipode: S(x) = x fails on skew x
+        h = construct(spec)
+        return FinHopf(h.name, h.dim, h.order, h.mult, h.unit, h.comult, h.counit,
+                       LinearMap.identity(h.order, h.dim), h.metadata)
+
+    monkeypatch.setattr(atlas, "_BUILD_CACHE", {})
+    monkeypatch.setattr(atlas, "_build_unverified", broken)
+    code, out = run(capsys, "verify", "h4")
+    lines = out.splitlines()
+    assert code == 1 and lines and all(line.startswith("FAIL antipode-") for line in lines)
+    assert "FAIL antipode-left at (2,) " in lines
+    with pytest.raises(SystemExit) as exc:
+        main(["invariants", "h4"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 1 and err.startswith("error: h4: axioms failed") and err.count("\n") == 1
+
+
 def test_unknown_family_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nosuchfamily"])

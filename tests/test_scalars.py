@@ -104,3 +104,16 @@ def test_serialization_round_trip():
         a = _random_elem(rng, order)
         assert FieldElem.from_json(a.to_json()) == a
         assert all("/" in s for s in a.to_strings())
+
+
+def test_hash_agrees_with_eq_against_int_and_fraction():
+    assert len({FieldElem.one(4), 1}) == 1
+    assert len({FieldElem.from_rational(Fraction(1, 2), 12), Fraction(1, 2)}) == 1
+    assert FieldElem.zeta(4) in {FieldElem.zeta(4)}
+    assert {FieldElem.zero(3): "zero"}[0] == "zero"
+
+
+def test_from_rational_refuses_floats():
+    with pytest.raises(TypeError):
+        FieldElem.from_rational(0.1, 4)
+    assert FieldElem.from_rational("1/10", 4).coords[0] == Fraction(1, 10)
