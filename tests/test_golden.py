@@ -2,9 +2,10 @@
 
 The SHA-256 digests in golden_digests.json pin the byte-exact output of
 `hopfatlas export` and `hopfatlas dual` for every family in list_families(),
-of `hopfatlas invariants` on the pointed families, and of the `hopfatlas iso`
-search on the AC6 pairs.  Regenerate them (only when an output change is
-intended) with
+of `hopfatlas invariants` on the pointed families, of the `hopfatlas iso`
+search on the AC6 pairs, of `hopfatlas coinv` on the shipped surjections
+(both sides), and of the algebra file of `tensor_hopf` on a few pairs.
+Regenerate them (only when an output change is intended) with
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden_digests.json
 """
@@ -20,8 +21,10 @@ from pathlib import Path
 
 import pytest
 
-from hopfatlas.atlas import list_families
+from hopfatlas.atlas import build, list_families
 from hopfatlas.cli import main
+from hopfatlas.hopf import tensor_hopf
+from hopfatlas.serialize import dump_algebra
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 
@@ -30,6 +33,9 @@ INVARIANT_FAMILIES = ("taft2", "taft3", "taft4", "h4", "a2", "a4p", "a4pp", "a4p
 ISO_PAIRS = (("taft2", "dual:taft2"), ("taft3", "dual:taft3"), ("taft4", "dual:taft4"),
              ("a2", "dual:a2"), ("a22", "dual:a22"), ("a4ppp+", "dual:a4p"),
              ("a4ppp+", "a4ppp-"))
+SURJECTIONS = ("h4xc3-to-h4", "h4xc3-to-kc3", "id-h4")
+TENSOR_PAIRS = (("h4", "kC3"), ("taft3", "kC2"), ("k8", "kC2dual"), ("a22", "h4"),
+                ("kD3dual", "taft2"))
 
 
 def cases():
@@ -42,10 +48,18 @@ def cases():
         out.append((f"invariants {fam}", ["invariants", fam]))
     for a, b in ISO_PAIRS:
         out.append((f"iso {a} {b}", ["iso", a, b]))
+    for name in SURJECTIONS:
+        for side in ("left", "right"):
+            out.append((f"coinv {name} {side}", ["coinv", name, "--side", side]))
+    for a, b in TENSOR_PAIRS:
+        out.append((f"tensor {a} {b}", ["tensor", a, b]))
     return out
 
 
 def output_digest(argv):
+    if argv[0] == "tensor":
+        text = dump_algebra(tensor_hopf(build(argv[1]), build(argv[2])))
+        return 0, hashlib.sha256(text.encode()).hexdigest()
     stdout = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "out.json")
