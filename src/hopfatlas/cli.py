@@ -157,7 +157,10 @@ def cmd_iso(args):
         return EXIT_CHECK_FAILED
     from math import lcm
 
-    grid = _parse_grid(args.grid, lcm(h.order, k.order)) if args.grid else None
+    try:
+        grid = _parse_grid(args.grid, lcm(h.order, k.order)) if args.grid else None
+    except (ValueError, ZeroDivisionError) as e:
+        _exit(EXIT_BAD_PARAMETER, f"bad --grid {args.grid!r}: {e}")
     w = search_iso(h, k, grid=grid, budget=args.budget)
     if isinstance(w, str):
         print(w)

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .hopf import FinHopf, hopf_dual, transpose_table
-from .linalg import Echelon, LinearMap, Subspace, sp_add_into
+from .hopf import FinHopf, hopf_dual, mul, transpose_table
+from .linalg import (
+    Echelon, LinearMap, Subspace, kernel_of_columns, preimage_of_subspace, sp_add_into,
+)
 from .scalars import FieldElem
 
 
@@ -55,20 +57,7 @@ def trace_gram(mult: dict, dim: int, order: int):
 
 
 def trace_form_radical(mult: dict, dim: int, order: int) -> Subspace:
-    cols = trace_gram(mult, dim, order)
-    from .linalg import kernel_of_columns
-
-    return kernel_of_columns(order, dim, cols, dim)
-
-
-def _mult_elems(mult, u, v):
-    out = {}
-    for i, a in u.items():
-        for j, b in v.items():
-            row = mult.get((i, j))
-            if row:
-                sp_add_into(out, row, a * b)
-    return out
+    return kernel_of_columns(order, dim, trace_gram(mult, dim, order), dim)
 
 
 def verify_nilpotent(mult, dim, order, space: Subspace) -> bool:
@@ -79,7 +68,7 @@ def verify_nilpotent(mult, dim, order, space: Subspace) -> bool:
         nxt = []
         for u in cur.basis_vectors():
             for v in space.basis_vectors():
-                nxt.append(_mult_elems(mult, u, v))
+                nxt.append(mul(mult, u, v))
         cur = Subspace.from_vectors(order, dim, nxt)
     return False
 
@@ -115,7 +104,7 @@ def ideal_closure(mult, dim, order, generators) -> Subspace:
     while queue:
         w = queue.pop()
         for b in basis:
-            for prod in (_mult_elems(mult, b, w), _mult_elems(mult, w, b)):
+            for prod in (mul(mult, b, w), mul(mult, w, b)):
                 red = ech.reduce(prod)
                 if red:
                     ech.insert(red)
@@ -142,18 +131,8 @@ def radical_of_dual(h: FinHopf) -> Subspace:
 
 def annihilator(order, dim, functionals: Subspace) -> Subspace:
     """{v : f(v) = 0 for all f in the span}; functionals live in dual coords."""
-    from .linalg import kernel_of_columns
-
     rows = functionals.basis_vectors()
-    cols = []
-    for j in range(dim):
-        col = {}
-        for r, f in enumerate(rows):
-            c = f.get(j)
-            if c:
-                col[r] = c
-        cols.append(col)
-    return kernel_of_columns(order, len(rows), cols, dim)
+    return LinearMap(order, len(rows), dim, rows).transpose().kernel()
 
 
 def coradical(h: FinHopf) -> Subspace:
@@ -170,14 +149,9 @@ class FiltrationReport:
     p_dims: list
     layers: list  # Subspace per level, ending at the full space
 
-    def stabilization_index(self):
-        return len(self.layer_dims) - 1
-
 
 def coradical_filtration(h: FinHopf) -> FiltrationReport:
     """H_0 = coradical, H_n = Delta^{-1}(H (x) H_{n-1} + H_0 (x) H)."""
-    from .linalg import preimage_of_subspace
-
     h0 = coradical(h)
     layers = [h0]
     dims = [h0.dim]
@@ -299,19 +273,20 @@ def skew_space(h: FinHopf, hg: dict, gg: dict) -> Subspace:
         for t, c in gg.items():
             sp_add_into(col, {t * n + j: -c})
         cols.append(col)
-    from .linalg import kernel_of_columns
-
     return kernel_of_columns(h.order, n * n, cols, n)
 
 
-def antipode_order(h: FinHopf, cap: int = 1000):
+ANTIPODE_ORDER_CAP = 1000
+
+
+def antipode_order(h: FinHopf):
     ident = LinearMap.identity(h.order, h.dim)
     power = h.antipode
-    for k in range(1, cap + 1):
+    for k in range(1, ANTIPODE_ORDER_CAP + 1):
         if power.columns == ident.columns:
             return k
         power = h.antipode.compose(power)
-    return f"exceeds cap {cap}"
+    return f"exceeds cap {ANTIPODE_ORDER_CAP}"
 
 
 def trace_s2(h: FinHopf) -> FieldElem:
@@ -343,7 +318,7 @@ class InvariantSummary:
         return (self.grouplike_count, self.dual_grouplike_count)
 
 
-def summarize(h: FinHopf, with_skew_table=True) -> InvariantSummary:
+def summarize(h: FinHopf) -> InvariantSummary:
     """All standing invariants; asserts the semisimple/cosemisimple/trace
     equivalences (characteristic zero)."""
     filt = coradical_filtration(h)
@@ -359,7 +334,7 @@ def summarize(h: FinHopf, with_skew_table=True) -> InvariantSummary:
     dual = hopf_dual(h)
     drep = grouplikes(dual)
     skew = {}
-    if with_skew_table and rep.complete:
+    if rep.complete:
         for i, a in enumerate(rep.verified):
             for j, b in enumerate(rep.verified):
                 skew[(i, j)] = skew_space(h, a, b).dim

@@ -39,8 +39,12 @@ class WitnessError(ValueError):
     pass
 
 
-def _images_at_order(images, order):
-    return {k: {i: c.embed(order) for i, c in v.items()} for k, v in images.items()}
+def _common_field(h: FinHopf, k: FinHopf, witness: IsoWitness):
+    """h, k and the witness's generator images, embedded in one field."""
+    images = witness.generator_images
+    order = lcm(h.order, k.order, *(c.order for v in images.values() for c in v.values()))
+    images = {g: {i: c.embed(order) for i, c in v.items()} for g, v in images.items()}
+    return h.embed(order), k.embed(order), images
 
 
 def _presentation(h: FinHopf):
@@ -50,15 +54,16 @@ def _presentation(h: FinHopf):
     return pres
 
 
+def _word_image(images, word, target):
+    elem = target.one_elem()
+    for gen, exp in word.items() if isinstance(word, dict) else word:
+        for _ in range(exp):
+            elem = target.mul(elem, images[gen])
+    return elem
+
+
 def induced_map(source: FinHopf, target: FinHopf, images: dict) -> LinearMap:
-    pres = _presentation(source)
-    cols = []
-    for word in pres.words:
-        elem = target.one_elem()
-        for gen, exp in word:
-            for _ in range(exp):
-                elem = target.mul(elem, images[gen])
-        cols.append(elem)
+    cols = [_word_image(images, word, target) for word in _presentation(source).words]
     return LinearMap(target.order, source.dim, target.dim, cols)
 
 
@@ -70,12 +75,7 @@ def verify_iso(h: FinHopf, k: FinHopf, witness: IsoWitness) -> Report:
         rep = Report(f"iso({h.name}->{k.name})")
         rep.fail("dimension", (h.dim, k.dim))
         return rep
-    order = lcm(h.order, k.order)
-    for vec in witness.generator_images.values():
-        for c in vec.values():
-            order = lcm(order, c.order)
-    hs, ks = h.embed(order), k.embed(order)
-    images = _images_at_order(witness.generator_images, order)
+    hs, ks, images = _common_field(h, k, witness)
     rep = Report(f"iso({h.name}->{k.name})")
     failed = pres.relations(images, ks)
     if failed:
@@ -92,12 +92,7 @@ def verify_iso(h: FinHopf, k: FinHopf, witness: IsoWitness) -> Report:
 
 
 def inverse_witness(h: FinHopf, k: FinHopf, witness: IsoWitness) -> LinearMap:
-    order = lcm(h.order, k.order)
-    for vec in witness.generator_images.values():
-        for c in vec.values():
-            order = lcm(order, c.order)
-    f = induced_map(h.embed(order), k.embed(order), _images_at_order(witness.generator_images, order))
-    return f.inverse()
+    return induced_map(*_common_field(h, k, witness)).inverse()
 
 
 # ---------------------------------------------------------------------------
@@ -123,14 +118,6 @@ def default_grid(order: int):
         if cand not in grid:
             grid.append(cand)
     return grid
-
-
-def _word_image(images, word, target):
-    elem = target.one_elem()
-    for gen, exp in word.items() if isinstance(word, dict) else word:
-        for _ in range(exp):
-            elem = target.mul(elem, images[gen])
-    return elem
 
 
 def search_iso(h: FinHopf, k: FinHopf, grid=None, budget: int = 200000):

@@ -34,9 +34,13 @@ def full_orbit(d: int) -> str:
 
 
 def _parse_full_orbit(flag: str):
-    if flag.startswith("full-orbit="):
-        return int(flag.split("=", 1)[1])
-    return None
+    if not flag.startswith("full-orbit="):
+        return None
+    value = flag.split("=", 1)[1]
+    try:
+        return int(value)
+    except ValueError:
+        raise ProverError(f"flag {flag!r}: block dimension {value!r} is not an integer") from None
 
 
 CITATIONS = {

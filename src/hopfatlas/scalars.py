@@ -275,11 +275,6 @@ class FieldElem:
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coords[1:])
 
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self!r} is not rational")
-        return self.coords[0]
-
     def __bool__(self):
         return not self.is_zero()
 

@@ -1,8 +1,10 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from hopfatlas.cli import main
+from hopfatlas.cli import _parse_grid, main
+from hopfatlas.scalars import FieldElem
 
 
 def run(capsys, *argv):
@@ -51,6 +53,22 @@ def test_unknown_family_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nosuchfamily"])
     assert exc.value.code == 3
+
+
+def test_prove_bad_full_orbit_flag_exit_code(capsys):
+    code = main(["prove", "200", "--flag", "full-orbit=x"])
+    err = capsys.readouterr().err
+    assert code == 3 and err.startswith("error: ") and "full-orbit=x" in err
+
+
+def test_iso_bad_grid_exit_code(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["iso", "taft2", "dual:taft2", "--grid", "foo"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 3 and err.count("\n") == 1 and err.startswith("error: bad --grid")
+    # a decimal token is still read exactly
+    half = FieldElem.from_rational(Fraction(1, 2), 4)
+    assert _parse_grid("0.5,-z", 4) == [half, -FieldElem.zeta(4, 1)]
 
 
 def test_prove_summary_style(capsys):
