@@ -219,7 +219,6 @@ def verify_bialgebra(h: FinHopf) -> Report:
         if mul(mult, one, b) != b or mul(mult, b, one) != b:
             rep.fail("unit", (i,), "1*b != b or b*1 != b")
 
-    # (b_i b_j) b_k = b_i (b_j b_k), both inner products read from the table
     for i, bi in enumerate(basis):
         for j in range(n):
             bij = mult.get((i, j), {})

@@ -57,7 +57,8 @@ def trace_gram(mult: dict, dim: int, order: int):
 
 
 def trace_form_radical(mult: dict, dim: int, order: int) -> Subspace:
-    return kernel_of_columns(order, dim, trace_gram(mult, dim, order), dim)
+    cols = trace_gram(mult, dim, order)
+    return kernel_of_columns(order, dim, cols, dim)
 
 
 def verify_nilpotent(mult, dim, order, space: Subspace) -> bool:

@@ -55,8 +55,9 @@ def _presentation(h: FinHopf):
 
 
 def _word_image(images, word, target):
+    """Image of a word, given as (generator, exponent) pairs."""
     elem = target.one_elem()
-    for gen, exp in word.items() if isinstance(word, dict) else word:
+    for gen, exp in word:
         for _ in range(exp):
             elem = target.mul(elem, images[gen])
     return elem
@@ -157,7 +158,7 @@ def search_iso(h: FinHopf, k: FinHopf, grid=None, budget: int = 200000):
     counter = [0]
 
     def skew_candidates(images, name):
-        partner = _word_image(images, pres.skew_gens[name], ks)
+        partner = _word_image(images, pres.skew_gens[name].items(), ks)
         space = inv.skew_space(ks, ks.one_elem(), partner)
         basis = space.basis_vectors()
         if not basis:
