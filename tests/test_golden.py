@@ -2,9 +2,10 @@
 
 The SHA-256 digests in golden_digests.json pin the byte-exact output of
 `hopfatlas export` and `hopfatlas dual` for every family in list_families(),
-of `hopfatlas invariants` on the pointed families, of the `hopfatlas iso`
-search on the AC6 pairs, of `hopfatlas coinv` on the shipped surjections
-(both sides), and of the algebra file of `tensor_hopf` on a few pairs.
+of `hopfatlas invariants` on the pointed families and on duals with several
+grouplikes (kC{n}dual, kD{n}dual, dual:...), of the `hopfatlas iso` search on
+the AC6 pairs, of `hopfatlas coinv` on the shipped surjections (both sides),
+and of the algebra file of `tensor_hopf` on a few pairs.
 Regenerate them (only when an output change is intended) with
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden_digests.json
@@ -29,7 +30,9 @@ from hopfatlas.serialize import dump_algebra
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 
 INVARIANT_FAMILIES = ("taft2", "taft3", "taft4", "h4", "a2", "a4p", "a4pp", "a4ppp+",
-                      "a4ppp-", "a22", "k8", "am10:3", "am10d:3", "am11:3", "h4xc:3")
+                      "a4ppp-", "a22", "k8", "am10:3", "am10d:3", "am11:3", "h4xc:3",
+                      "am10:5", "am11:5", "h4xc:5", "kC6dual", "kC8dual", "kC11dual",
+                      "kC12dual", "kD4dual", "kD6dual", "dual:kD3dual", "dual:am11:3")
 ISO_PAIRS = (("taft2", "dual:taft2"), ("taft3", "dual:taft3"), ("taft4", "dual:taft4"),
              ("a2", "dual:a2"), ("a22", "dual:a22"), ("a4ppp+", "dual:a4p"),
              ("a4ppp+", "a4ppp-"))
