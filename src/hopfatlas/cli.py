@@ -2,8 +2,8 @@
 
 Exit codes: 0 all checks in the invocation passed; 1 a mathematical check
 failed; 2 usage error / unknown verb or flag; 3 invalid family name or
-parameter; 4 file I/O failure.  Identical invocations produce byte-identical
-output.
+parameter; 4 unreadable or malformed file.  Identical invocations produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from . import invariants as inv
 from .atlas import AtlasConstructionError, build, shipped_surjections
 from .hopf import coinvariants, hopf_dual, verify_hopf_morphism
 from .isowitness import search_iso, verify_iso
-from .prover import Assumptions, ProverError, prove, replay
+from .prover import Assumptions, ProverError, TraceError, prove, replay
 from .scalars import FieldElem
-from .serialize import dump_algebra, dump_witness, load_witness
+from .serialize import FormatError, dump_algebra, dump_witness, load_witness
 from .statuskb import crosscheck_with_prover, render_table, status
 
 EXIT_OK = 0
@@ -123,7 +123,7 @@ def _read(path):
     try:
         with open(path) as fh:
             return fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"error: cannot read {path}: {e}", file=sys.stderr)
         sys.exit(EXIT_IO)
 
@@ -148,7 +148,10 @@ def _parse_grid(spec, order):
 def cmd_iso(args):
     h, k = _build(args.family1), _build(args.family2)
     if args.witness:
-        w = load_witness(_read(args.witness))
+        try:
+            w = load_witness(_read(args.witness), k.dim)
+        except FormatError as e:
+            _exit(EXIT_IO, f"{args.witness}: malformed witness: {e}")
         rep = verify_iso(h, k, w)
         if rep.ok:
             print("witness verified")
@@ -194,7 +197,10 @@ def cmd_coinv(args):
 
 def cmd_prove(args):
     if args.replay:
-        ok, report = replay(_read(args.replay))
+        try:
+            ok, report = replay(_read(args.replay))
+        except TraceError as e:
+            _exit(EXIT_IO, f"{args.replay}: malformed trace: {e}")
         print("replay: " + ("verdicts reproduced bit-for-bit" if ok else "MISMATCH"))
         return EXIT_OK if ok else EXIT_CHECK_FAILED
     assumptions = Assumptions(

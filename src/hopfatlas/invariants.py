@@ -187,6 +187,7 @@ class GrouplikeReport:
     complete: bool
     orders: list = field(default_factory=list)
     table: dict = field(default_factory=dict)  # (i,j) -> k indices into verified
+    inverses: list = field(default_factory=list)  # i -> index of g_i^{-1}
 
     @property
     def count(self):
@@ -244,11 +245,12 @@ def grouplikes(h: FinHopf) -> GrouplikeReport:
             raise InvariantError(f"{h.name}: unit not among claimed grouplikes")
         e = index[one_key]
         for i in range(len(verified)):
-            k, cur = 1, i
+            k, prev, cur = 1, e, i
             while cur != e:
-                cur = rep.table[(cur, i)]
+                prev, cur = cur, rep.table[(cur, i)]
                 k += 1
             rep.orders.append(k)
+            rep.inverses.append(prev)
     return rep
 
 
@@ -321,7 +323,11 @@ class InvariantSummary:
 
 def summarize(h: FinHopf) -> InvariantSummary:
     """All standing invariants; asserts the semisimple/cosemisimple/trace
-    equivalences (characteristic zero)."""
+    equivalences (characteristic zero).
+
+    The skew table takes r kernels, not r^2: left multiplication by a
+    grouplike a is a coalgebra automorphism with a.P_{h,g} = P_{ah,ag}, so
+    P_{h,g} = h.P_{1,h^-1 g} and dim P_{h,g} = dim P_{1,h^-1 g}."""
     filt = coradical_filtration(h)
     corad = filt.layer_dims[0]
     tr = trace_s2(h)
@@ -336,9 +342,10 @@ def summarize(h: FinHopf) -> InvariantSummary:
     drep = grouplikes(dual)
     skew = {}
     if rep.complete:
-        for i, a in enumerate(rep.verified):
-            for j, b in enumerate(rep.verified):
-                skew[(i, j)] = skew_space(h, a, b).dim
+        base = [skew_space(h, h.one_elem(), g).dim for g in rep.verified]
+        for i, inv_i in enumerate(rep.inverses):
+            for j in range(rep.count):
+                skew[(i, j)] = base[rep.table[(inv_i, j)]]
     return InvariantSummary(
         dim=h.dim,
         corad_dim=corad,

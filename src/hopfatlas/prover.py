@@ -97,6 +97,10 @@ class ProverError(ValueError):
     pass
 
 
+class TraceError(ValueError):
+    """A trace that is not a well-formed serialized report."""
+
+
 @dataclass(frozen=True)
 class Assumptions:
     nonsemisimple: bool = True
@@ -112,6 +116,10 @@ class Assumptions:
 
     @classmethod
     def from_json(cls, obj):
+        names = set(cls.__dataclass_fields__)
+        if not (isinstance(obj, dict) and set(obj) <= names
+                and all(isinstance(v, bool) for v in obj.values())):
+            raise ProverError(f"assumptions must map some of {sorted(names)} to booleans, got {obj!r}")
         return cls(**obj)
 
 
@@ -548,15 +556,26 @@ def prove(n, assumptions: Assumptions = None, pack="base", flags=(), axioms=()) 
 
 def replay(trace_json: str) -> tuple:
     """Re-run a serialized report; returns (ok, fresh_report) where ok means
-    the fresh serialization is byte-identical to the input."""
-    obj = json.loads(trace_json)
-    report = prove(
-        obj["n"],
-        Assumptions.from_json(obj["assumptions"]),
-        obj["pack"],
-        tuple(obj["flags"]),
-        tuple(obj["axioms"]),
-    )
+    the fresh serialization is byte-identical to the input.  A trace that is
+    not JSON of the serialized shape, or whose parameters prove() rejects,
+    raises TraceError."""
+    try:
+        obj = json.loads(trace_json)
+    except ValueError as e:
+        raise TraceError(f"not JSON: {e}") from None
+    keys = ("n", "assumptions", "pack", "flags", "axioms")
+    if not isinstance(obj, dict) or any(k not in obj for k in keys):
+        raise TraceError(f"not a JSON object with keys {', '.join(keys)}")
+    if type(obj["n"]) is not int:
+        raise TraceError(f"n must be an integer, got {obj['n']!r}")
+    for key in ("flags", "axioms"):
+        if not (isinstance(obj[key], list) and all(isinstance(s, str) for s in obj[key])):
+            raise TraceError(f"{key} must be a list of strings, got {obj[key]!r}")
+    try:
+        report = prove(obj["n"], Assumptions.from_json(obj["assumptions"]), obj["pack"],
+                       tuple(obj["flags"]), tuple(obj["axioms"]))
+    except ProverError as e:
+        raise TraceError(str(e)) from None
     fresh = report.serialize()
     ok = fresh == trace_json or fresh.rstrip("\n") == trace_json.rstrip("\n")
     return ok, report

@@ -153,15 +153,54 @@ def witness_to_json(w) -> dict:
     }
 
 
-def load_witness(text: str):
+class FormatError(ValueError):
+    """A file that is not well-formed for its format."""
+
+
+def _coeff_load(cj) -> FieldElem:
+    """A coefficient {"N": n, "coords": ["p/q", ...]} with phi(n) coordinates."""
+    if not (isinstance(cj, dict) and type(cj.get("N")) is int and cj["N"] >= 1
+            and isinstance(cj.get("coords"), list)
+            and all(isinstance(s, str) for s in cj["coords"])):
+        raise FormatError(f"bad coefficient {cj!r}")
+    try:
+        return FieldElem.from_json(cj)
+    except (ValueError, ZeroDivisionError) as e:
+        raise FormatError(f"bad coefficient {cj!r}: {e}") from None
+
+
+def _witness_image(gen, entries, dim) -> dict:
+    """A generator image: [index, coefficient] pairs with index in range(dim)."""
+    if not isinstance(entries, list):
+        raise FormatError(f"image of {gen!r} is not a list")
+    vec = {}
+    for entry in entries:
+        if not (isinstance(entry, list) and len(entry) == 2 and type(entry[0]) is int):
+            raise FormatError(f"image of {gen!r}: {entry!r} is not an [index, coefficient] pair")
+        i, cj = entry
+        if not 0 <= i < dim:
+            raise FormatError(f"image of {gen!r}: index {i} out of range for dimension {dim}")
+        vec[i] = _coeff_load(cj)
+    return vec
+
+
+def load_witness(text: str, dim: int):
+    """Parse a witness file whose images live in a target of dimension dim;
+    anything that is not a well-formed witness raises FormatError."""
     from .isowitness import IsoWitness
 
-    obj = json.loads(text)
-    order = obj["N"]
-    images = {
-        gen: _vec_load(v, order) for gen, v in obj["generator_images"].items()
-    }
-    return IsoWitness(obj["source"], obj["target"], images)
+    try:
+        obj = json.loads(text)
+    except ValueError as e:
+        raise FormatError(f"not JSON: {e}") from None
+    if not isinstance(obj, dict) or obj.get("format") != FORMAT_VERSION:
+        raise FormatError(f"not a witness file of format {FORMAT_VERSION}")
+    images = obj.get("generator_images")
+    if not (isinstance(obj.get("source"), str) and isinstance(obj.get("target"), str)
+            and isinstance(images, dict)):
+        raise FormatError("need string source and target and a generator_images object")
+    return IsoWitness(obj["source"], obj["target"],
+                      {gen: _witness_image(gen, v, dim) for gen, v in images.items()})
 
 
 def dump_witness(w) -> str:

@@ -147,3 +147,55 @@ def test_coinv(capsys):
     assert code == 0 and "dim coinvariants=1" in out
     code = main(["coinv", "nope"])
     assert code == 3
+
+
+
+def _exit_code_and_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("malform", [
+    pytest.param(lambda obj: "{not json", id="invalid-json"),
+    pytest.param(lambda obj: json.dumps({"n": 24}), id="missing-keys"),
+    pytest.param(lambda obj: json.dumps({**obj, "flags": ["full-orbit=x"]}), id="bad-flag"),
+    pytest.param(lambda obj: json.dumps({**obj, "assumptions": {**obj["assumptions"], "x": True}}),
+                 id="unknown-assumption"),
+])
+def test_prove_replay_malformed_trace_exit_code(tmp_path, capsys, malform):
+    trace = tmp_path / "t.json"
+    assert main(["prove", "42", "--pack", "extended", "--flag", "full-orbit=2",
+                 "--trace", str(trace)]) == 0
+    trace.write_text(malform(json.loads(trace.read_text())))
+    capsys.readouterr()
+    code, err = _exit_code_and_error(capsys, ["prove", "--replay", str(trace)])
+    assert code == 4 and err.count("\n") == 1
+    assert err.startswith(f"error: {trace}: malformed trace: ")
+
+
+def _with_first_g_entry(obj, index, coords):
+    images = dict(obj["generator_images"])
+    _, coeff = images["g"][0]
+    images["g"] = [[index, {**coeff, "coords": coords}]] + images["g"][1:]
+    return json.dumps({**obj, "generator_images": images})
+
+
+@pytest.mark.parametrize("malform,message", [
+    pytest.param(lambda obj: "{not json", "not JSON", id="invalid-json"),
+    pytest.param(lambda obj: _with_first_g_entry(obj, 0, ["1", "2", "3"]),
+                 "need 1 coordinates for order 2, got 3", id="coordinate-count"),
+    # dual:taft2 has dimension 4
+    pytest.param(lambda obj: _with_first_g_entry(obj, 4, ["1"]),
+                 "index 4 out of range for dimension 4", id="index-out-of-range"),
+    pytest.param(lambda obj: json.dumps({**obj, "format": 99}),
+                 "not a witness file of format 1", id="unknown-format"),
+])
+def test_iso_malformed_witness_exit_code(tmp_path, capsys, malform, message):
+    code, out = run(capsys, "iso", "taft2", "dual:taft2")
+    assert code == 0
+    wfile = tmp_path / "w.json"
+    wfile.write_text(malform(json.loads(out)))
+    code, err = _exit_code_and_error(capsys, ["iso", "taft2", "dual:taft2", "--witness", str(wfile)])
+    assert code == 4 and err.count("\n") == 1
+    assert err.startswith(f"error: {wfile}: malformed witness: ") and message in err

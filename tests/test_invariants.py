@@ -1,3 +1,5 @@
+import os
+import random
 from math import gcd
 
 import pytest
@@ -127,6 +129,35 @@ def test_skew_space_examples():
     for a in rep.verified:
         for b in rep.verified:
             assert inv.skew_space(kd3, a, b).dim <= 1
+
+
+def _direct_skew_table(h, rep):
+    """Reference skew table: one skew_space kernel per ordered grouplike pair."""
+    return {(i, j): inv.skew_space(h, a, b).dim
+            for i, a in enumerate(rep.verified) for j, b in enumerate(rep.verified)}
+
+
+SKEW_TABLE_FAMILIES = ("h4", "taft3", "taft4", "kD3dual", "kD6dual", "a22", "k8", "am11:3",
+                       "h4xc:3", "kC6dual", "dual:am11:3", "dual:kD3dual", "dual:kD4dual")
+SEED = int(os.environ.get("HOPFATLAS_TEST_SEED", "0"))
+
+
+def _seeded_skew_family(k):
+    """The k-th of 3 further families of dimension <= 12, drawn by HOPFATLAS_TEST_SEED."""
+    pool = [f for f in list_families() if f not in SKEW_TABLE_FAMILIES and build(f).dim <= 12]
+    return random.Random(SEED).sample(pool, 3)[k]
+
+
+@pytest.mark.parametrize("fam", SKEW_TABLE_FAMILIES + ("seeded:0", "seeded:1", "seeded:2"))
+def test_skew_table_by_translation_matches_direct(fam):
+    # summarize fills P_{g_i,g_j} from dim P_{1,g_i^-1 g_j}; the r^2 kernels must agree
+    if fam.startswith("seeded:"):
+        fam = _seeded_skew_family(int(fam[7:]))
+    h = build(fam)
+    rep = inv.grouplikes(h)
+    assert rep.complete
+    direct = _direct_skew_table(h, rep)
+    assert list(inv.summarize(h).skew_table.items()) == list(direct.items()), fam
 
 
 def test_skew_space_rejects_non_grouplike():
