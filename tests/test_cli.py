@@ -149,7 +149,6 @@ def test_coinv(capsys):
     assert code == 3
 
 
-
 def _exit_code_and_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
