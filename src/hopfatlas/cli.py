@@ -12,9 +12,9 @@ import argparse
 import sys
 
 from . import invariants as inv
-from .atlas import AtlasConstructionError, build, shipped_surjections
+from .atlas import AtlasConstructionError, build, presentation, shipped_surjections
 from .hopf import coinvariants, hopf_dual, verify_hopf_morphism
-from .isowitness import search_iso, verify_iso
+from .isowitness import WitnessError, search_iso, verify_iso
 from .prover import Assumptions, ProverError, TraceError, prove, replay
 from .scalars import FieldElem
 from .serialize import FormatError, dump_algebra, dump_witness, load_witness
@@ -147,11 +147,17 @@ def _parse_grid(spec, order):
 
 def cmd_iso(args):
     h, k = _build(args.family1), _build(args.family2)
+    pres = presentation(h.metadata.get("family"))
+    if pres is None:
+        _exit(EXIT_BAD_PARAMETER, f"{args.family1}: no presentation registered for witnesses")
     if args.witness:
         try:
-            w = load_witness(_read(args.witness), k.dim)
+            w = load_witness(_read(args.witness), k)
         except FormatError as e:
             _exit(EXIT_IO, f"{args.witness}: malformed witness: {e}")
+        if sorted(w.generator_images) != sorted(pres.gen_names):
+            _exit(EXIT_IO, f"{args.witness}: malformed witness: images of "
+                           f"{sorted(w.generator_images)}, need {sorted(pres.gen_names)}")
         rep = verify_iso(h, k, w)
         if rep.ok:
             print("witness verified")
@@ -164,7 +170,10 @@ def cmd_iso(args):
         grid = _parse_grid(args.grid, lcm(h.order, k.order)) if args.grid else None
     except (ValueError, ZeroDivisionError) as e:
         _exit(EXIT_BAD_PARAMETER, f"bad --grid {args.grid!r}: {e}")
-    w = search_iso(h, k, grid=grid, budget=args.budget)
+    try:
+        w = search_iso(h, k, grid=grid, budget=args.budget)
+    except WitnessError as e:
+        _exit(EXIT_BAD_PARAMETER, e)
     if isinstance(w, str):
         print(w)
         return EXIT_CHECK_FAILED

@@ -28,8 +28,38 @@ def _vec_json(vec: dict):
     return [[i, c.to_json()] for i, c in sorted(vec.items())]
 
 
-def _vec_load(entries, order):
-    return {int(i): FieldElem.from_json(c) for i, c in entries}
+class FormatError(ValueError):
+    """A file that is not well-formed for its format."""
+
+
+def _coeff_load(cj, order: int) -> FieldElem:
+    """A coefficient {"N": order, "coords": ["p/q", ...]} with phi(order) coordinates."""
+    if not (isinstance(cj, dict) and type(cj.get("N")) is int and cj["N"] == order
+            and isinstance(cj.get("coords"), list)
+            and all(isinstance(s, str) for s in cj["coords"])):
+        raise FormatError(f"bad coefficient {cj!r} for N={order}")
+    # phi(n) >= sqrt(n/2): reject too few coordinates before the O(n) totient
+    if 2 * len(cj["coords"]) ** 2 < order:
+        raise FormatError(f"bad coefficient {cj!r}: too few coordinates for order {order}")
+    try:
+        return FieldElem.from_json(cj)
+    except (ValueError, ZeroDivisionError) as e:
+        raise FormatError(f"bad coefficient {cj!r}: {e}") from None
+
+
+def _vec_load(key, entries, dim: int, order: int) -> dict:
+    """A sparse vector: [index, coefficient] pairs with index in range(dim)."""
+    if not isinstance(entries, list):
+        raise FormatError(f"{key!r} is not a list")
+    vec = {}
+    for entry in entries:
+        if not (isinstance(entry, list) and len(entry) == 2 and type(entry[0]) is int):
+            raise FormatError(f"{key!r}: {entry!r} is not an [index, coefficient] pair")
+        i, cj = entry
+        if not 0 <= i < dim:
+            raise FormatError(f"{key!r}: index {i} out of range for dimension {dim}")
+        vec[i] = _coeff_load(cj, order)
+    return vec
 
 
 def _dense_json(vec: dict, dim: int, order: int):
@@ -112,15 +142,15 @@ def algebra_from_json(obj) -> FinHopf:
             meta[key] = raw[key]
     for key in _META_VEC_KEYS:
         if key in raw:
-            meta[key] = [_vec_load(v, order) for v in raw[key]]
+            meta[key] = [_vec_load(key, v, dim, order) for v in raw[key]]
     if "claimed_generators" in raw:
         meta["claimed_generators"] = {
-            name: _vec_load(v, order) for name, v in raw["claimed_generators"].items()
+            name: _vec_load(name, v, dim, order) for name, v in raw["claimed_generators"].items()
         }
     for key in _META_BLOCK_KEYS:
         if key in raw:
             meta[key] = [
-                [[_vec_load(v, order) for v in row] for row in block]
+                [[_vec_load(key, v, dim, order) for v in row] for row in block]
                 for block in raw[key]
             ]
     return FinHopf(
@@ -153,40 +183,10 @@ def witness_to_json(w) -> dict:
     }
 
 
-class FormatError(ValueError):
-    """A file that is not well-formed for its format."""
-
-
-def _coeff_load(cj) -> FieldElem:
-    """A coefficient {"N": n, "coords": ["p/q", ...]} with phi(n) coordinates."""
-    if not (isinstance(cj, dict) and type(cj.get("N")) is int and cj["N"] >= 1
-            and isinstance(cj.get("coords"), list)
-            and all(isinstance(s, str) for s in cj["coords"])):
-        raise FormatError(f"bad coefficient {cj!r}")
-    try:
-        return FieldElem.from_json(cj)
-    except (ValueError, ZeroDivisionError) as e:
-        raise FormatError(f"bad coefficient {cj!r}: {e}") from None
-
-
-def _witness_image(gen, entries, dim) -> dict:
-    """A generator image: [index, coefficient] pairs with index in range(dim)."""
-    if not isinstance(entries, list):
-        raise FormatError(f"image of {gen!r} is not a list")
-    vec = {}
-    for entry in entries:
-        if not (isinstance(entry, list) and len(entry) == 2 and type(entry[0]) is int):
-            raise FormatError(f"image of {gen!r}: {entry!r} is not an [index, coefficient] pair")
-        i, cj = entry
-        if not 0 <= i < dim:
-            raise FormatError(f"image of {gen!r}: index {i} out of range for dimension {dim}")
-        vec[i] = _coeff_load(cj)
-    return vec
-
-
-def load_witness(text: str, dim: int):
-    """Parse a witness file whose images live in a target of dimension dim;
-    anything that is not a well-formed witness raises FormatError."""
+def load_witness(text: str, target: FinHopf):
+    """Parse a witness file whose images live in target's basis; anything that
+    is not a well-formed witness raises FormatError.  The file's N, the order
+    of every coefficient, must be a multiple of the target's order."""
     from .isowitness import IsoWitness
 
     try:
@@ -199,8 +199,11 @@ def load_witness(text: str, dim: int):
     if not (isinstance(obj.get("source"), str) and isinstance(obj.get("target"), str)
             and isinstance(images, dict)):
         raise FormatError("need string source and target and a generator_images object")
+    order = obj.get("N")
+    if not (type(order) is int and order >= 1 and order % target.order == 0):
+        raise FormatError(f"N={order!r} is not a multiple of the target's order {target.order}")
     return IsoWitness(obj["source"], obj["target"],
-                      {gen: _witness_image(gen, v, dim) for gen, v in images.items()})
+                      {gen: _vec_load(gen, v, target.dim, order) for gen, v in images.items()})
 
 
 def dump_witness(w) -> str:

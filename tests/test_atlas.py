@@ -129,7 +129,7 @@ def test_serialization_round_trip_byte_identical():
 def test_witness_files_round_trip():
     for w in builtin_witnesses()[:3]:
         text = dump_witness(w)
-        again = dump_witness(load_witness(text, w.target_hopf().dim))
+        again = dump_witness(load_witness(text, w.target_hopf()))
         assert text == again
 
 

@@ -173,22 +173,31 @@ def test_prove_replay_malformed_trace_exit_code(tmp_path, capsys, malform):
     assert err.startswith(f"error: {trace}: malformed trace: ")
 
 
-def _with_first_g_entry(obj, index, coords):
+def _with_first_g_entry(obj, index, **coeff):
     images = dict(obj["generator_images"])
-    _, coeff = images["g"][0]
-    images["g"] = [[index, {**coeff, "coords": coords}]] + images["g"][1:]
+    _, first = images["g"][0]
+    images["g"] = [[index, {**first, **coeff}]] + images["g"][1:]
     return json.dumps({**obj, "generator_images": images})
 
 
 @pytest.mark.parametrize("malform,message", [
     pytest.param(lambda obj: "{not json", "not JSON", id="invalid-json"),
-    pytest.param(lambda obj: _with_first_g_entry(obj, 0, ["1", "2", "3"]),
+    pytest.param(lambda obj: _with_first_g_entry(obj, 0, coords=["1", "2", "3"]),
                  "need 1 coordinates for order 2, got 3", id="coordinate-count"),
     # dual:taft2 has dimension 4
-    pytest.param(lambda obj: _with_first_g_entry(obj, 4, ["1"]),
+    pytest.param(lambda obj: _with_first_g_entry(obj, 4, coords=["1"]),
                  "index 4 out of range for dimension 4", id="index-out-of-range"),
     pytest.param(lambda obj: json.dumps({**obj, "format": 99}),
                  "not a witness file of format 1", id="unknown-format"),
+    pytest.param(lambda obj: json.dumps({**obj, "generator_images": {"g": obj["generator_images"]["g"]}}),
+                 "images of ['g'], need ['g', 'x']", id="missing-generator"),
+    pytest.param(lambda obj: json.dumps({**obj, "N": 3}),
+                 "N=3 is not a multiple of the target's order 2", id="order-not-multiple"),
+    pytest.param(lambda obj: _with_first_g_entry(obj, 0, N=4, coords=["1", "0"]),
+                 "for N=2", id="coefficient-order-mismatch"),
+    # rejected before phi(10^10) is computed, which would take minutes
+    pytest.param(lambda obj: _with_first_g_entry({**obj, "N": 10**10}, 0, N=10**10),
+                 "too few coordinates for order 10000000000", id="huge-order"),
 ])
 def test_iso_malformed_witness_exit_code(tmp_path, capsys, malform, message):
     code, out = run(capsys, "iso", "taft2", "dual:taft2")
@@ -198,3 +207,10 @@ def test_iso_malformed_witness_exit_code(tmp_path, capsys, malform, message):
     code, err = _exit_code_and_error(capsys, ["iso", "taft2", "dual:taft2", "--witness", str(wfile)])
     assert code == 4 and err.count("\n") == 1
     assert err.startswith(f"error: {wfile}: malformed witness: ") and message in err
+
+
+@pytest.mark.parametrize("family", ["kC2dual", "k8"])
+def test_iso_search_unsupported_family_exit_code(capsys, family):
+    # kC2dual has no presentation; k8's is not generated by grouplikes and skew-primitives
+    code, err = _exit_code_and_error(capsys, ["iso", family, family])
+    assert code == 3 and err.count("\n") == 1 and err.startswith(f"error: {family}: ")
