@@ -82,7 +82,7 @@ def quotient_algebra(mult, dim, order, ideal: Subspace):
     pos = {c: a for a, c in enumerate(coords)}
 
     def project(vec):
-        res = ech.reduce(vec)
+        res = ech.normal_form(vec)
         return {pos[i]: c for i, c in res.items()}
 
     qmult = {}
@@ -255,7 +255,7 @@ def grouplikes(h: FinHopf) -> GrouplikeReport:
 
 
 def _vec_key(vec):
-    return tuple(sorted((i, c.coords) for i, c in vec.items()))
+    return tuple(sorted(vec.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,6 @@ squares, so the row operations stay sparse throughout.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .scalars import FieldElem
 
 
@@ -67,6 +65,18 @@ class Echelon:
             if row is None:
                 return vec
             sp_add_into(vec, row, -vec[p])
+        return vec
+
+    def normal_form(self, vec: dict) -> dict:
+        """vec minus the combination of rows that clears every pivot column.
+        reduce() stops at the first non-pivot leading entry, which decides
+        membership; this is the projection along the span, the same for
+        every vector of a coset."""
+        vec = dict(vec)
+        for p in sorted(self.rows):
+            c = vec.get(p)
+            if c:
+                sp_add_into(vec, self.rows[p], -c)
         return vec
 
     def insert(self, vec: dict) -> bool:
@@ -289,6 +299,7 @@ def kernel_of_columns(order, ambient, columns, nvars) -> Subspace:
 
 def preimage_of_subspace(order, columns, nvars, target: Subspace) -> Subspace:
     """{v : M v in target} for the map with the given columns."""
-    residuals = [target.reduce(col) for col in columns]
+    ech = target._echelon()
+    residuals = [ech.normal_form(col) for col in columns]
     return kernel_of_columns(order, target.ambient, residuals, nvars)
 

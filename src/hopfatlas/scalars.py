@@ -1,17 +1,25 @@
 """Exact scalars: rationals and cyclotomic field elements.
 
 Every coefficient in the library lives in Q(zeta_N) for some fixed N,
-represented in the power basis 1, z, ..., z^(phi(N)-1) of Q[x]/(Phi_N(x)),
-with Fraction coordinates.  Equality is coordinatewise, hence decidable.
+represented in the power basis 1, z, ..., z^(phi(N)-1) of Q[x]/(Phi_N(x)).
+An element is stored as integer numerators over one positive denominator,
+
+    (a_0 + a_1 z + ... + a_(phi-1) z^(phi-1)) / d,   gcd(d, a_0, ..., a_(phi-1)) = 1,
+
+the form of FLINT's fmpq_poly and nf_elem (see also Cohen, A Course in
+Computational Algebraic Number Theory, GTM 138).  With the content removed
+the form is unique, so equality is a comparison of integers and hashing
+agrees with it, also against int and Fraction.  Phi_N is monic with integer
+coefficients, so a product is the schoolbook product of the numerators,
+reduced with integer rows and divided by one gcd at the end.  No float is
+ever accepted.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
-
-Rational = Fraction
+from math import gcd, lcm
 
 
 class FieldOrderMismatch(ValueError):
@@ -33,74 +41,84 @@ def divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def _poly_divide_exact(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
-    # exact division of polynomials with Fraction coefficients, remainder must vanish
+def _divide_monic(num: list[int], den: tuple[int, ...]) -> list[int]:
+    # exact division by a monic integer polynomial, remainder must vanish
     num = list(num)
-    out = [Fraction(0)] * (len(num) - len(den) + 1)
-    while len(num) >= len(den):
-        if num[-1] == 0:
-            num.pop()
-            continue
-        shift = len(num) - len(den)
-        coeff = num[-1] / den[-1]
-        out[shift] = coeff
-        for i, c in enumerate(den):
-            num[shift + i] -= coeff * c
-        assert num[-1] == 0
-        num.pop()
-    assert all(c == 0 for c in num), "division not exact"
+    out = [0] * (len(num) - len(den) + 1)
+    for shift in range(len(out) - 1, -1, -1):
+        c = num[shift + len(den) - 1]
+        out[shift] = c
+        if c:
+            for i, d in enumerate(den):
+                num[shift + i] -= c * d
+    assert not any(num), "division not exact"
     return out
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
-    """Coefficients (ascending) of the n-th cyclotomic polynomial, monic of degree phi(n)."""
+def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """Integer coefficients (ascending) of the n-th cyclotomic polynomial, monic of degree phi(n)."""
     if n < 1:
         raise ValueError(f"cyclotomic order must be >= 1, got {n}")
     # (x^n - 1) divided by the product of Phi_d over proper divisors d of n
-    num = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
+    num = [-1] + [0] * (n - 1) + [1]
     for d in divisors(n)[:-1]:
-        num = _poly_divide_exact(num, list(cyclotomic_polynomial(d)))
+        num = _divide_monic(num, cyclotomic_polynomial(d))
     assert len(num) - 1 == totient(n)
     return tuple(num)
 
 
-def cyclotomic_poly(n: int) -> list[Rational]:
-    """Spec surface: ascending coefficient list of Phi_n."""
-    return list(cyclotomic_polynomial(n))
+@lru_cache(maxsize=None)
+def _z_phi(n: int) -> tuple[int, ...]:
+    # integer coordinates of z^phi(n), as Phi_n is monic
+    return tuple(-c for c in cyclotomic_polynomial(n)[:-1])
+
+
+def _times_z(vec: tuple[int, ...], n: int) -> tuple[int, ...]:
+    # integer coordinates of z*vec in Q(zeta_n)
+    out = [0, *vec[:-1]]
+    top = vec[-1]
+    if top:
+        for i, c in enumerate(_z_phi(n)):
+            out[i] += top * c
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _reduction_rows(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    # coordinates of z^k for k = phi(n) .. 2*phi(n)-2, reduced mod Phi_n
-    phi = totient(n)
-    poly = cyclotomic_polynomial(n)
-    rows = []
-    cur = [-c for c in poly[:phi]]  # z^phi = -(a_0 + a_1 z + ... ), Phi monic
-    rows.append(tuple(cur))
-    for _ in range(phi - 2):
-        nxt = [Fraction(0)] + cur[:-1]
-        top = cur[-1]
-        if top:
-            for i in range(phi):
-                nxt[i] += top * rows[0][i]
-        cur = nxt
-        rows.append(tuple(cur))
-    return tuple(rows)
+def _reduction_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    # z^k for k = phi(n) .. 2*phi(n)-2, reduced mod Phi_n: integer rows, kept
+    # sparse as (coordinate, value) pairs
+    rows = [_z_phi(n)]
+    for _ in range(totient(n) - 2):
+        rows.append(_times_z(rows[-1], n))
+    return tuple(tuple((i, c) for i, c in enumerate(row) if c) for row in rows)
+
+
+def _exact(c):
+    if isinstance(c, float):
+        raise TypeError(f"inexact float {c!r}; pass an int, Fraction or string")
+    return c if type(c) is int else Fraction(c)
 
 
 class FieldElem:
-    """An element of Q(zeta_N), immutable, in reduced power-basis coordinates."""
+    """An element nums/den of Q(zeta_order), immutable, in reduced power-basis
+    coordinates with the content removed."""
 
-    __slots__ = ("order", "coords")
+    __slots__ = ("order", "nums", "den")
 
     def __init__(self, order: int, coords):
+        """coords are ints, Fractions or strings such as "1/2", phi(order) of
+        them; floats are refused because they are not exact."""
+        coords = [_exact(c) for c in coords]
         phi = totient(order)
-        coords = tuple(Fraction(c) for c in coords)
         if len(coords) != phi:
             raise ValueError(f"need {phi} coordinates for order {order}, got {len(coords)}")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coords", coords)
+        # with every coordinate in lowest terms, the lcm of the denominators
+        # leaves no common factor in the numerators
+        den = lcm(*(c.denominator for c in coords))
+        _set_order(self, order)
+        _set_nums(self, tuple(c.numerator * (den // c.denominator) for c in coords))
+        _set_den(self, den)
 
     def __setattr__(self, *a):
         raise AttributeError("FieldElem is immutable")
@@ -109,49 +127,23 @@ class FieldElem:
 
     @classmethod
     def zero(cls, order: int) -> "FieldElem":
-        return cls(order, (Fraction(0),) * totient(order))
+        return _zero(order)
 
     @classmethod
     def one(cls, order: int) -> "FieldElem":
-        return cls.from_rational(Fraction(1), order)
+        return _zeta(order, 0)
 
     @classmethod
     def from_rational(cls, q, order: int) -> "FieldElem":
         """q is an int, a Fraction or a string such as "1/2"; floats are
         refused because they are not exact."""
-        if isinstance(q, float):
-            raise TypeError(f"inexact float {q!r}; pass an int, Fraction or string")
-        coords = [Fraction(q)] + [Fraction(0)] * (totient(order) - 1)
-        return cls(order, coords)
+        q = _exact(q)
+        return _rational(order, q.numerator, q.denominator)
 
     @classmethod
     def zeta(cls, order: int, power: int = 1) -> "FieldElem":
         """zeta_order ** power, reduced."""
-        power %= order
-        phi = totient(order)
-        if power < phi:
-            coords = [Fraction(0)] * phi
-            coords[power] = Fraction(1)
-            return cls(order, coords)
-        elem = cls(order, [Fraction(0)] * (phi - 1) + [Fraction(1)]) if phi > 1 else cls.one(order)
-        if phi == 1:
-            # Q(zeta_1) = Q(zeta_2) = Q; zeta is 1 or -1
-            val = Fraction(1) if order == 1 else Fraction(-1) ** power
-            return cls(order, (Fraction(val),))
-        # z^(phi-1) times z^(power-phi+1)
-        for _ in range(power - phi + 1):
-            elem = elem._times_z()
-        return elem
-
-    def _times_z(self) -> "FieldElem":
-        phi = len(self.coords)
-        shifted = [Fraction(0)] + list(self.coords[:-1])
-        top = self.coords[-1]
-        if top:
-            row = _reduction_rows(self.order)[0]
-            for i in range(phi):
-                shifted[i] += top * row[i]
-        return FieldElem(self.order, shifted)
+        return _zeta(order, power % order)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -163,22 +155,24 @@ class FieldElem:
                 )
             return other
         if isinstance(other, (int, Fraction)):
-            return FieldElem.from_rational(other, self.order)
+            return _rational(self.order, other.numerator, other.denominator)
         return NotImplemented
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElem(self.order, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        if type(other) is not FieldElem or other.order != self.order:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _sum(self, other.nums, other.den)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElem(self.order, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        if type(other) is not FieldElem or other.order != self.order:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _sum(self, [-b for b in other.nums], other.den)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -187,59 +181,90 @@ class FieldElem:
         return other - self
 
     def __neg__(self):
-        return FieldElem(self.order, tuple(-a for a in self.coords))
+        return _elem(self.order, tuple(-a for a in self.nums), self.den)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        phi = len(self.coords)
-        if phi == 1:
-            return FieldElem(self.order, (self.coords[0] * other.coords[0],))
-        prod = [Fraction(0)] * (2 * phi - 1)
-        for i, a in enumerate(self.coords):
-            if not a:
-                continue
-            for j, b in enumerate(other.coords):
-                if b:
-                    prod[i + j] += a * b
+        if type(other) is not FieldElem or other.order != self.order:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        order, a, b = self.order, self.nums, other.nums
+        den = self.den * other.den
+        phi = len(a)
+        if not any(b[1:]):
+            # a rational factor scales; 1 is common enough to test for
+            y = b[0]
+            if y == den == 1:
+                return self
+            return _reduced(order, [x * y for x in a], den)
+        if not any(a[1:]):
+            x = a[0]
+            return _reduced(order, [x * y for y in b], den)
+        rows = _reduction_rows(order)
+        nonzero = [(j, y) for j, y in enumerate(b) if y]
+        if len(nonzero) == 1:
+            # other = y*z^j, as the roots of unity are: shift, and reduce
+            # what overflows with its row
+            (j, y), = nonzero
+            out = [0] * phi
+            for i, x in enumerate(a):
+                if x:
+                    k = i + j
+                    if k < phi:
+                        out[k] += x * y
+                    else:
+                        xy = x * y
+                        for t, r in rows[k - phi]:
+                            out[t] += xy * r
+            return _reduced(order, out, den)
+        prod = [0] * (2 * phi - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in nonzero:
+                    prod[i + j] += x * y
         out = prod[:phi]
-        rows = _reduction_rows(self.order)
-        for k in range(phi, 2 * phi - 1):
-            c = prod[k]
+        for row, c in zip(rows, prod[phi:]):
             if c:
-                row = rows[k - phi]
-                for i in range(phi):
-                    out[i] += c * row[i]
-        return FieldElem(self.order, out)
+                for i, r in row:
+                    out[i] += c * r
+        return _reduced(order, out, den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElem":
         if self.is_zero():
             raise ZeroDivisionError("division by zero in Q(zeta_%d)" % self.order)
-        phi = len(self.coords)
-        if phi == 1:
-            return FieldElem(self.order, (1 / self.coords[0],))
-        # extended Euclid in Q[x]: s*a + t*Phi = 1, inverse = s mod Phi
-        a = list(self.coords)
-        b = list(cyclotomic_polynomial(self.order))
-        s0, s1 = [Fraction(1)], [Fraction(0)]
-
-        def trim(p):
-            while p and p[-1] == 0:
-                p.pop()
-            return p
-
-        a, b = trim(a), trim(b)
-        while b:
-            q, r = _poly_divmod(a, b)
-            a, b = b, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        assert len(a) == 1 and a[0] != 0, "cyclotomic polynomial not coprime to element"
-        inv = [c / a[0] for c in s0]
-        inv = (inv + [Fraction(0)] * phi)[:phi]
-        return FieldElem(self.order, inv)
+        order, a, den = self.order, self.nums, self.den
+        phi = len(a)
+        if self.is_rational():
+            n = a[0]
+            return _rational(order, den if n > 0 else -den, abs(n))
+        # Solve a*y = 1 for the coordinates y: column j of the matrix holds
+        # a*z^j.  Fraction-free Gauss-Jordan elimination (Bareiss) divides
+        # exactly and ends with d*I on the left and d*y on the right.
+        cols = [a]
+        for _ in range(phi - 1):
+            cols.append(_times_z(cols[-1], order))
+        m = [[col[i] for col in cols] + [int(i == 0)] for i in range(phi)]
+        d = 1
+        for k in range(phi):
+            p = k
+            while not m[p][k]:
+                p += 1
+            m[k], m[p] = m[p], m[k]
+            top = m[k]
+            pivot = top[k]
+            for r, row in enumerate(m):
+                if r != k:
+                    f = row[k]
+                    for c in range(k + 1, phi + 1):
+                        row[c] = (row[c] * pivot - f * top[c]) // d
+                    row[k] = 0
+            d = pivot
+        if d < 0:
+            d, den = -d, -den
+        # (a/den)^-1 = den*y
+        return _reduced(order, [den * row[phi] for row in m], d)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -270,26 +295,32 @@ class FieldElem:
     # -- predicates and misc -------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.nums[1:])
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.nums)
 
     def __eq__(self, other):
+        if isinstance(other, FieldElem):
+            return self.order == other.order and self.den == other.den and self.nums == other.nums
         if isinstance(other, (int, Fraction)):
-            other = FieldElem.from_rational(other, self.order)
-        if not isinstance(other, FieldElem):
-            return NotImplemented
-        return self.order == other.order and self.coords == other.coords
+            return (self.den == other.denominator and self.nums[0] == other.numerator
+                    and self.is_rational())
+        return NotImplemented
 
     def __hash__(self):
         # a rational element equals the int or Fraction of its value
         if self.is_rational():
-            return hash(self.coords[0])
-        return hash((self.order, self.coords))
+            return hash(self.nums[0] if self.den == 1 else Fraction(self.nums[0], self.den))
+        return hash((self.order, self.nums, self.den))
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        """The coordinates as Fractions, a read-only view."""
+        return tuple(Fraction(a, self.den) for a in self.nums)
 
     def embed(self, target_order: int) -> "FieldElem":
         """Image under zeta_N -> zeta_M^(M/N); requires N | M."""
@@ -299,11 +330,12 @@ class FieldElem:
         if m == n:
             return self
         step = m // n
-        out = FieldElem.zero(m)
-        for i, c in enumerate(self.coords):
+        out = [0] * totient(m)
+        for i, c in enumerate(self.nums):
             if c:
-                out = out + FieldElem.zeta(m, i * step) * FieldElem.from_rational(c, m)
-        return out
+                for j, z in enumerate(_zeta(m, i * step).nums):
+                    out[j] += c * z
+        return _reduced(m, out, self.den)
 
     def __repr__(self):
         terms = []
@@ -321,11 +353,12 @@ class FieldElem:
     # -- serialization -------------------------------------------------------
 
     def to_strings(self) -> list[str]:
+        """Each coordinate in lowest terms as "p/q"."""
         return [f"{c.numerator}/{c.denominator}" for c in self.coords]
 
     @classmethod
     def from_strings(cls, order: int, strings) -> "FieldElem":
-        return cls(order, [Fraction(s) for s in strings])
+        return cls(order, strings)
 
     def to_json(self) -> dict:
         return {"N": self.order, "coords": self.to_strings()}
@@ -335,46 +368,70 @@ class FieldElem:
         return cls.from_strings(obj["N"], obj["coords"])
 
 
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
-    while len(a) >= len(b) and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        shift = len(a) - len(b)
-        c = a[-1] / b[-1]
-        q[shift] = c
-        for i, bc in enumerate(b):
-            a[shift + i] -= c * bc
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return q, a
+# Arithmetic builds its results here, bypassing the checking constructor.
+_new = object.__new__
+_set_order = FieldElem.order.__set__
+_set_nums = FieldElem.nums.__set__
+_set_den = FieldElem.den.__set__
 
 
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+def _elem(order: int, nums: tuple[int, ...], den: int) -> FieldElem:
+    # trusted: nums/den is already in normal form
+    e = _new(FieldElem)
+    _set_order(e, order)
+    _set_nums(e, nums)
+    _set_den(e, den)
+    return e
 
 
-def _poly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] -= x
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+def _reduced(order: int, nums, den: int) -> FieldElem:
+    # nums/den with den > 0, the content removed here; _elem is inlined, as
+    # every product and sum ends here
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            den //= g
+            nums = [a // g for a in nums]
+    e = _new(FieldElem)
+    _set_order(e, order)
+    _set_nums(e, tuple(nums))
+    _set_den(e, den)
+    return e
 
 
-def embed(a: FieldElem, target_order: int) -> FieldElem:
-    return a.embed(target_order)
+def _sum(x: FieldElem, b, db: int) -> FieldElem:
+    # x + b/db for numerators b of the same order
+    a, da = x.nums, x.den
+    if da == db:
+        return _reduced(x.order, [p + q for p, q in zip(a, b)], da)
+    g = gcd(da, db)
+    sa, sb = db // g, da // g
+    return _reduced(x.order, [p * sa + q * sb for p, q in zip(a, b)], da * sa)
+
+
+def _rational(order: int, p: int, q: int) -> FieldElem:
+    # p/q in lowest terms with q > 0
+    return _elem(order, (p,) + (0,) * (totient(order) - 1), q)
+
+
+@lru_cache(maxsize=None)
+def _zero(order: int) -> FieldElem:
+    return _rational(order, 0, 1)
+
+
+@lru_cache(maxsize=None)
+def _zeta(order: int, power: int) -> FieldElem:
+    # zeta_order ** power for 0 <= power < order
+    phi = totient(order)
+    if phi == 1:
+        # Q(zeta_1) = Q(zeta_2) = Q; zeta is 1 or -1
+        return _rational(order, -1 if power % 2 and order == 2 else 1, 1)
+    if power < phi:
+        nums = [0] * phi
+        nums[power] = 1
+        return _elem(order, tuple(nums), 1)
+    nums = (0,) * (phi - 1) + (1,)
+    for _ in range(power - phi + 1):
+        nums = _times_z(nums, order)
+    return _elem(order, nums, 1)
+

@@ -88,6 +88,17 @@ def test_preimage():
     assert pre.dim == 2
 
 
+def test_preimage_when_a_pivot_trails_a_free_column():
+    order = 2
+    # target = span(f0 + f1, f2); e0 -> f1 + f2 leads with the free column 1,
+    # and its pivot entry at 2 must still be cleared
+    target = Subspace.from_vectors(order, 3, [spvec(order, {0: 1, 1: 1}), spvec(order, {2: 1})])
+    cols = [spvec(order, {1: 1, 2: 1}), spvec(order, {1: 1})]
+    pre = preimage_of_subspace(order, cols, 2, target)
+    # (a, b) maps to (a+b) f1 + a f2, in the target iff a + b = 0
+    assert pre.dim == 1 and pre.contains(spvec(order, {0: 1, 1: -1}))
+
+
 def test_kernel_of_columns():
     order = 2
     cols = [spvec(order, {0: 1}), spvec(order, {0: 2})]

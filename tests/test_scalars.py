@@ -6,7 +6,6 @@ import pytest
 from hopfatlas.scalars import (
     FieldElem,
     FieldOrderMismatch,
-    cyclotomic_poly,
     cyclotomic_polynomial,
     divisors,
     totient,
@@ -16,15 +15,15 @@ SEED = 0
 
 
 def test_cyclotomic_small():
-    assert cyclotomic_poly(1) == [Fraction(-1), Fraction(1)]          # x - 1
-    assert cyclotomic_poly(4) == [Fraction(1), Fraction(0), Fraction(1)]  # x^2 + 1
+    assert list(cyclotomic_polynomial(1)) == [Fraction(-1), Fraction(1)]          # x - 1
+    assert list(cyclotomic_polynomial(4)) == [Fraction(1), Fraction(0), Fraction(1)]  # x^2 + 1
     # divide x^12 - 1 by the proper-divisor cyclotomics by hand: x^4 - x^2 + 1
-    assert cyclotomic_poly(12) == [Fraction(1), 0, Fraction(-1), 0, Fraction(1)]
+    assert list(cyclotomic_polynomial(12)) == [Fraction(1), 0, Fraction(-1), 0, Fraction(1)]
 
 
 def test_cyclotomic_degree_and_product():
     for n in range(1, 30):
-        assert len(cyclotomic_poly(n)) == totient(n) + 1
+        assert len(cyclotomic_polynomial(n)) == totient(n) + 1
     # product over divisors of 12 reconstructs x^12 - 1
     prod = [Fraction(1)]
     for d in divisors(12):
@@ -117,3 +116,18 @@ def test_from_rational_refuses_floats():
     with pytest.raises(TypeError):
         FieldElem.from_rational(0.1, 4)
     assert FieldElem.from_rational("1/10", 4).coords[0] == Fraction(1, 10)
+
+
+def test_constructor_and_arithmetic_refuse_floats():
+    with pytest.raises(TypeError, match="inexact float"):
+        FieldElem(4, [0.5, 0])
+    with pytest.raises(TypeError, match="inexact float"):
+        FieldElem.from_strings(4, ["1/2", 0.25])
+    with pytest.raises(TypeError, match="inexact float"):
+        FieldElem.from_rational(0.5, 4)
+    z = FieldElem.zeta(4)
+    for op in (lambda: z + 0.5, lambda: 0.5 + z, lambda: z - 0.5, lambda: 0.5 - z,
+               lambda: z * 0.5, lambda: 0.5 * z, lambda: z / 0.5, lambda: 0.5 / z):
+        with pytest.raises(TypeError):
+            op()
+    assert FieldElem(4, ["1/2", Fraction(1, 3)]).to_strings() == ["1/2", "1/3"]
