@@ -190,40 +190,22 @@ class FieldElem:
                 return NotImplemented
         order, a, b = self.order, self.nums, other.nums
         den = self.den * other.den
-        phi = len(a)
         if not any(b[1:]):
-            # a rational factor scales; 1 is common enough to test for
+            # a rational factor scales; most products in the axiom checks
+            # are by 1, which returns the element itself
             y = b[0]
-            if y == den == 1:
+            if y == other.den == 1:
                 return self
             return _reduced(order, [x * y for x in a], den)
-        if not any(a[1:]):
-            x = a[0]
-            return _reduced(order, [x * y for y in b], den)
-        rows = _reduction_rows(order)
+        phi = len(a)
         nonzero = [(j, y) for j, y in enumerate(b) if y]
-        if len(nonzero) == 1:
-            # other = y*z^j, as the roots of unity are: shift, and reduce
-            # what overflows with its row
-            (j, y), = nonzero
-            out = [0] * phi
-            for i, x in enumerate(a):
-                if x:
-                    k = i + j
-                    if k < phi:
-                        out[k] += x * y
-                    else:
-                        xy = x * y
-                        for t, r in rows[k - phi]:
-                            out[t] += xy * r
-            return _reduced(order, out, den)
         prod = [0] * (2 * phi - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in nonzero:
                     prod[i + j] += x * y
         out = prod[:phi]
-        for row, c in zip(rows, prod[phi:]):
+        for row, c in zip(_reduction_rows(order), prod[phi:]):
             if c:
                 for i, r in row:
                     out[i] += c * r
@@ -385,18 +367,13 @@ def _elem(order: int, nums: tuple[int, ...], den: int) -> FieldElem:
 
 
 def _reduced(order: int, nums, den: int) -> FieldElem:
-    # nums/den with den > 0, the content removed here; _elem is inlined, as
-    # every product and sum ends here
+    # nums/den with den > 0, the content removed here
     if den != 1:
         g = gcd(den, *nums)
         if g != 1:
             den //= g
             nums = [a // g for a in nums]
-    e = _new(FieldElem)
-    _set_order(e, order)
-    _set_nums(e, tuple(nums))
-    _set_den(e, den)
-    return e
+    return _elem(order, tuple(nums), den)
 
 
 def _sum(x: FieldElem, b, db: int) -> FieldElem:
