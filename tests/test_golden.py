@@ -5,7 +5,10 @@ The SHA-256 digests in golden_digests.json pin the byte-exact output of
 of `hopfatlas invariants` on the pointed families and on duals with several
 grouplikes (kC{n}dual, kD{n}dual, dual:...), of the `hopfatlas iso` search on
 the AC6 pairs, of `hopfatlas coinv` on the shipped surjections (both sides),
-and of the algebra file of `tensor_hopf` on a few pairs.
+of the algebra file of `tensor_hopf` on a few pairs, and of `hopfatlas prove`
+(stdout and the --trace file, a pair of digests per key) on a few dimensions
+under the base pack, the extended pack, and the extended pack with every flag
+and axiom.
 Regenerate them (only when an output change is intended) with
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden_digests.json
@@ -39,10 +42,15 @@ ISO_PAIRS = (("taft2", "dual:taft2"), ("taft3", "dual:taft3"), ("taft4", "dual:t
 SURJECTIONS = ("h4xc3-to-h4", "h4xc3-to-kc3", "id-h4")
 TENSOR_PAIRS = (("h4", "kC3"), ("taft3", "kC2"), ("k8", "kC2dual"), ("a22", "h4"),
                 ("kD3dual", "taft2"))
+PROVE_DIMS = (42, 56, 66, 70, 78, 96)
+PROVE_SETTINGS = (["--pack", "base"], ["--pack", "extended"],
+                  ["--pack", "extended", "--flag", "free-translation", "--flag", "full-orbit=2",
+                   "--axiom", "pq-half-dim"])
 
 
 def cases():
-    """(key, argv) for every pinned invocation; export writes to a file."""
+    """(key, argv) for every pinned invocation; export and prove --trace
+    write to a file."""
     out = []
     for fam in list_families():
         out.append((f"export {fam}", ["export", fam, "--out"]))
@@ -56,22 +64,32 @@ def cases():
             out.append((f"coinv {name} {side}", ["coinv", name, "--side", side]))
     for a, b in TENSOR_PAIRS:
         out.append((f"tensor {a} {b}", ["tensor", a, b]))
+    for n in PROVE_DIMS:
+        for setting in PROVE_SETTINGS:
+            argv = ["prove", str(n), *setting]
+            out.append((" ".join(argv), argv + ["--trace"]))
     return out
 
 
 def output_digest(argv):
     if argv[0] == "tensor":
         text = dump_algebra(tensor_hopf(build(argv[1]), build(argv[2])))
-        return 0, hashlib.sha256(text.encode()).hexdigest()
+        return 0, sha256(text)
     stdout = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "out.json")
-        if argv[-1] == "--out":
+        if argv[-1] in ("--out", "--trace"):
             argv = argv + [path]
         with contextlib.redirect_stdout(stdout):
             code = main(argv)
+        if argv[0] == "prove":
+            return code, [sha256(stdout.getvalue()), sha256(Path(path).read_text())]
         text = Path(path).read_text() if argv[0] == "export" else stdout.getvalue()
-    return code, hashlib.sha256(text.encode()).hexdigest()
+    return code, sha256(text)
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("key,argv", cases(), ids=[key for key, _ in cases()])

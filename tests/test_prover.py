@@ -19,6 +19,7 @@ from hopfatlas.prover import (
     prove,
     replay,
 )
+from hopfatlas.scalars import divisors
 
 FLAGS = (full_orbit(2), FREE_TRANSLATION)
 SEED = 0
@@ -56,6 +57,16 @@ def test_enumerate_24_g2_matches_bruteforce_oracle():
     oracle = {b for b in oracle if all((m * d * d) % 2 == 0 for d, m in b)}
     assert got == oracle
     assert ((2, 1),) in got and ((3, 2),) in got and ((4, 1),) in got
+
+
+def test_enumerate_emits_strictly_increasing_blocks():
+    # enumerate_profiles returns the depth-first order as it is; that order
+    # must already be sorted and free of repeats
+    for asm in (Assumptions(), Assumptions(nonsemisimple=False, nonpointed=False)):
+        for n in range(4, 121):
+            for g in divisors(n):
+                blocks = [p.blocks for p in enumerate_profiles(n, asm, g)]
+                assert all(a < b for a, b in zip(blocks, blocks[1:])), (n, g, asm)
 
 
 def test_enumerate_cosemisimple_pointed_excluded():
