@@ -24,6 +24,7 @@ from .prover import (
     applicable_flags,
     full_orbit,
     naive_assignment_oracle,
+    no_skew_established,
     prove,
 )
 from .statuskb import crosscheck_with_prover, status
@@ -213,10 +214,10 @@ def ac11_soundness(seed=0):
     for fam in list_families():
         h = build(fam)
         profile, asm = _true_assumptions(h)
-        eliminated, steps, no_skew = apply_base_pack(profile, asm)
+        eliminated, steps = apply_base_pack(profile, asm)
         if eliminated:
             return False, f"{fam}: base pack eliminated the true profile"
-        verdict = apply_extended_pack(profile, asm, (), no_skew=no_skew)
+        verdict = apply_extended_pack(profile, asm, ())
         if verdict.eliminated:
             return False, f"{fam}: extended pack eliminated the true profile"
     rng = random.Random(seed)
@@ -250,12 +251,10 @@ def ac11_soundness(seed=0):
         flags = applicable_flags(profile, flags)
         asm = Assumptions()
         verdict = apply_extended_pack(profile, asm, flags)
-        no_skew = gcd(g, n // g) == 1
-        exist = no_skew
-        branches = [d for d, _ in profile.blocks] if exist else [None]
+        branches = [d for d, _ in profile.blocks] if no_skew_established(profile) else [None]
         oracle_feasible = False
         for witness in branches:
-            variables = _variable_system(profile, flags, no_skew, asm, witness)
+            variables, _ = _variable_system(profile, flags, asm, witness)
             if naive_assignment_oracle(variables, n - profile.c0) is not None:
                 oracle_feasible = True
                 break

@@ -61,16 +61,17 @@ Everything else is derived, and build() verifies the result:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import product
 from math import lcm
 
+from . import invariants as inv
 from .groups import FiniteGroup, parse_group
 from .hopf import (
-    FinHopf, LinearMap, Report, hopf_dual, mul, mul2, verify_antipode, verify_bialgebra,
+    FinHopf, LinearMap, Report, hopf_dual, mul, mul2, tensor_hopf, verify_antipode,
+    verify_bialgebra, verify_hopf_morphism,
 )
 from .linalg import Subspace, kernel_of_columns, sp_add_into, sp_scale
-from .scalars import FieldElem
+from .scalars import FieldElem, is_odd_prime
 
 
 class AtlasConstructionError(RuntimeError):
@@ -362,7 +363,7 @@ def _dual_family(fam, inner):
 # ---------------------------------------------------------------------------
 
 def _check_odd_prime(p):
-    if p < 3 or p % 2 == 0 or any(p % d == 0 for d in range(3, int(p ** 0.5) + 1, 2)):
+    if not is_odd_prime(p):
         raise ValueError(f"parameter must be an odd prime, got {p}")
 
 
@@ -451,7 +452,10 @@ def parse_family(s: str) -> FamilySpec:
             return FamilySpec(fid)
         if param and s.startswith(prefix) and s.endswith(suffix):
             param = s[len(prefix):len(s) - len(suffix)]
-            return FamilySpec(fid, (param if fid == "dual" else int(param),))
+            try:
+                return FamilySpec(fid, (param if fid == "dual" else int(param),))
+            except ValueError:  # the parameter is not an integer: try the next pattern
+                continue
     raise UnknownFamilyError(f"unknown family {s!r}")
 
 
@@ -498,8 +502,7 @@ def presentation(family) -> Presentation | None:
         for x, n, w in datum.skew:
             rhs = sp_scale(K.one_elem(), s0)
             if s2:
-                w_image = reduce(K.mul, (K.elem_power(images[g], k) for g, k in w.items()))
-                sp_add_into(rhs, K.elem_power(w_image, n), s2)
+                sp_add_into(rhs, K.elem_power(K.word_image(images, w.items()), n), s2)
             if K.elem_power(images[x], n) != rhs:
                 failed.append(f"{x}^{n}")
         for a, b, k in commute:
@@ -546,7 +549,7 @@ def _verify_metadata_claims(h: FinHopf, fam: str):
     for k, side in ((h, ""), (hopf_dual(h), "dual ")):
         one = FieldElem.one(k.order)
         for g in k.metadata.get("claimed_grouplikes", []):
-            if k.delta(g) != k.tensor_elem(g, g) or k.eps(g) != 1:
+            if not k.is_grouplike(g):
                 raise AtlasConstructionError(f"{fam}: {side}claimed grouplike fails Delta/eps")
             if k.mul(k.s(g), g) != k.one_elem() or k.mul(g, k.s(g)) != k.one_elem():
                 raise AtlasConstructionError(f"{fam}: {side}claimed grouplike not a unit")
@@ -669,9 +672,6 @@ class SubHopfClaim:
 def sub_hopf_claims(fam: str) -> SubHopfClaim:
     """Positive claims return a verified embedding of h4; negative claims an
     exhaustive certificate over all certified grouplikes of order 2."""
-    from . import invariants as inv
-    from .hopf import verify_hopf_morphism
-
     h = build(fam)
     h4 = build("h4")
     pos = _h4_embedding_indices(fam)
@@ -722,8 +722,6 @@ def sub_hopf_claims(fam: str) -> SubHopfClaim:
 
 def shipped_surjections():
     """Three verified Hopf algebra surjections used by the coinvariant laws."""
-    from .hopf import tensor_hopf
-
     h4 = build("h4")
     kc3 = build("kC3")
     t = tensor_hopf(h4, kc3)  # index (i,a) -> i*3 + a
@@ -737,15 +735,3 @@ def shipped_surjections():
         "h4xc3-to-kc3": (t, kc3, pi2),
         "id-h4": (h4, h4, LinearMap.identity(h4.order, 4)),
     }
-
-
-def matrix_coalgebra(d: int):
-    """The d x d matrix-like coalgebra alone (no algebra structure): returns
-    (dim, comult, counit) with basis e_uv at index u*d + v."""
-    if d < 1:
-        raise ValueError("matrix coalgebra needs d >= 1")
-    one = FieldElem.one(2)
-    comult = {u * d + v: {(u * d + l, l * d + v): one for l in range(d)}
-              for u in range(d) for v in range(d)}
-    counit = {u * d + u: one for u in range(d)}
-    return d * d, comult, counit

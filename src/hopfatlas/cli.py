@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import argparse
 import sys
+from math import lcm
 
 from . import invariants as inv
 from .atlas import AtlasConstructionError, build, presentation, shipped_surjections
 from .hopf import coinvariants, hopf_dual, verify_hopf_morphism
 from .isowitness import WitnessError, search_iso, verify_iso
+from .linalg import LinearMap
 from .prover import Assumptions, ProverError, TraceError, prove, replay
 from .scalars import FieldElem
-from .serialize import FormatError, dump_algebra, dump_witness, load_witness
+from .serialize import FormatError, canonical_json, dump_algebra, dump_witness, load_witness
 from .statuskb import crosscheck_with_prover, render_table, status
 
 EXIT_OK = 0
@@ -74,8 +76,6 @@ def cmd_invariants(args):
         dims = ",".join(str(d) for d in sorted(s.skew_table.values()))
         print(f"skew_dims={dims}")
     if args.report:
-        from .serialize import canonical_json
-
         payload = {
             "family": args.family,
             "dim": s.dim,
@@ -164,8 +164,6 @@ def cmd_iso(args):
             return EXIT_OK
         print(f"witness FAILED: {rep.failures[:3]}")
         return EXIT_CHECK_FAILED
-    from math import lcm
-
     try:
         grid = _parse_grid(args.grid, lcm(h.order, k.order)) if args.grid else None
     except (ValueError, ZeroDivisionError) as e:
@@ -185,8 +183,6 @@ def cmd_coinv(args):
     table = shipped_surjections()
     if args.surjection.startswith("id:"):
         h = _build(args.surjection[3:])
-        from .linalg import LinearMap
-
         entry = (h, h, LinearMap.identity(h.order, h.dim))
     elif args.surjection in table:
         entry = table[args.surjection]

@@ -16,6 +16,7 @@ cubic loops are cheap.
 
 from __future__ import annotations
 
+from functools import reduce
 from math import lcm
 
 from .linalg import LinearMap, Subspace, kernel_of_columns, sp_add_into, sp_scale
@@ -123,6 +124,11 @@ class FinHopf:
             acc = self.mul(acc, u)
         return acc
 
+    def word_image(self, images: dict, word) -> dict:
+        """Image of a word, given as (generator, exponent) pairs, under the
+        generator images; the empty word is 1."""
+        return reduce(self.mul, (self.elem_power(images[g], k) for g, k in word), self.one_elem())
+
     def delta(self, u: dict) -> dict:
         out = {}
         for i, a in u.items():
@@ -147,6 +153,9 @@ class FinHopf:
 
     def tensor_elem(self, u: dict, v: dict) -> dict:
         return {(i, j): c for i, a in u.items() for j, b in v.items() if (c := a * b)}
+
+    def is_grouplike(self, u: dict) -> bool:
+        return self.delta(u) == self.tensor_elem(u, u) and self.eps(u) == 1
 
     def flatten_pairs(self, t: dict) -> dict:
         return {j * self.dim + k: c for (j, k), c in t.items()}

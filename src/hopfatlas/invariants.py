@@ -218,7 +218,7 @@ def grouplikes(h: FinHopf) -> GrouplikeReport:
     claims = h.metadata.get("claimed_grouplikes", [])
     verified = []
     for g in claims:
-        if h.delta(g) == h.tensor_elem(g, g) and h.eps(g) == 1:
+        if h.is_grouplike(g):
             verified.append(dict(g))
         else:
             raise InvariantError(f"{h.name}: claimed grouplike fails verification")
@@ -265,7 +265,7 @@ def _vec_key(vec):
 def skew_space(h: FinHopf, hg: dict, gg: dict) -> Subspace:
     """P_{h,g} = {x : Delta(x) = x (x) h + g (x) x}; h, g must verify as grouplikes."""
     for v in (hg, gg):
-        if h.delta(v) != h.tensor_elem(v, v) or h.eps(v) != 1:
+        if not h.is_grouplike(v):
             raise InvariantError(f"{h.name}: skew_space argument is not grouplike")
     n = h.dim
     cols = []

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from . import invariants as inv
-from .atlas import build, presentation
+from .atlas import presentation
 from .hopf import FinHopf, Report, hopf_dual, verify_hopf_morphism
 from .linalg import LinearMap, sp_add_into, sp_scale
 from .scalars import FieldElem
@@ -25,14 +25,8 @@ from .scalars import FieldElem
 @dataclass
 class IsoWitness:
     source_family: str
-    target: object            # family string, or a FinHopf
+    target: str               # family string
     generator_images: dict    # name -> sparse vector in the target basis
-    note: str = ""
-
-    def target_hopf(self) -> FinHopf:
-        if isinstance(self.target, FinHopf):
-            return self.target
-        return build(self.target)
 
 
 class WitnessError(ValueError):
@@ -54,17 +48,8 @@ def _presentation(h: FinHopf):
     return pres
 
 
-def _word_image(images, word, target):
-    """Image of a word, given as (generator, exponent) pairs."""
-    elem = target.one_elem()
-    for gen, exp in word:
-        for _ in range(exp):
-            elem = target.mul(elem, images[gen])
-    return elem
-
-
 def induced_map(source: FinHopf, target: FinHopf, images: dict) -> LinearMap:
-    cols = [_word_image(images, word, target) for word in _presentation(source).words]
+    cols = [target.word_image(images, word) for word in _presentation(source).words]
     return LinearMap(target.order, source.dim, target.dim, cols)
 
 
@@ -72,12 +57,11 @@ def verify_iso(h: FinHopf, k: FinHopf, witness: IsoWitness) -> Report:
     """Extend generator images along the source basis; check relations,
     bijectivity, and the full morphism axioms."""
     pres = _presentation(h)
+    rep = Report(f"iso({h.name}->{k.name})")
     if h.dim != k.dim:
-        rep = Report(f"iso({h.name}->{k.name})")
         rep.fail("dimension", (h.dim, k.dim))
         return rep
     hs, ks, images = _common_field(h, k, witness)
-    rep = Report(f"iso({h.name}->{k.name})")
     failed = pres.relations(images, ks)
     if failed:
         rep.fail("relations", tuple(failed), "not well-defined on relations, witness invalid")
@@ -90,10 +74,6 @@ def verify_iso(h: FinHopf, k: FinHopf, witness: IsoWitness) -> Report:
     for failure in morph.failures:
         rep.fail(*failure)
     return rep
-
-
-def inverse_witness(h: FinHopf, k: FinHopf, witness: IsoWitness) -> LinearMap:
-    return induced_map(*_common_field(h, k, witness)).inverse()
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +138,7 @@ def search_iso(h: FinHopf, k: FinHopf, grid=None, budget: int = 200000):
     counter = [0]
 
     def skew_candidates(images, name):
-        partner = _word_image(images, pres.skew_gens[name].items(), ks)
+        partner = ks.word_image(images, pres.skew_gens[name].items())
         space = inv.skew_space(ks, ks.one_elem(), partner)
         basis = space.basis_vectors()
         if not basis:
@@ -203,7 +183,7 @@ def search_iso(h: FinHopf, k: FinHopf, grid=None, budget: int = 200000):
             if counter[0] > budget:
                 raise _Budget()
             images[name] = cand
-            if i + 1 == len(skew_names) or not pres.relations(images | _zero_fill(pres, images, ks), ks):
+            if i + 1 == len(skew_names) or not pres.relations(images | _zero_fill(pres, images), ks):
                 yield from assign_skews(i + 1, images)
         images.pop(name, None)
 
@@ -225,7 +205,7 @@ def search_iso(h: FinHopf, k: FinHopf, grid=None, budget: int = 200000):
     return "none found (grid exhausted)"
 
 
-def _zero_fill(pres, images, ks):
+def _zero_fill(pres, images):
     # partial relation check: unassigned skew generators act as 0
     out = {}
     for name in pres.gen_names:

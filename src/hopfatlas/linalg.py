@@ -39,16 +39,6 @@ def sp_scale(vec: dict, scale) -> dict:
     return {i: c * scale for i, c in vec.items()} if scale else {}
 
 
-def sp_from_dense(order, dense) -> dict:
-    out = {}
-    for i, c in enumerate(dense):
-        if not isinstance(c, FieldElem):
-            c = FieldElem.from_rational(c, order)
-        if c:
-            out[i] = c
-    return out
-
-
 class Echelon:
     """Incremental forward echelon of sparse rows; canonicalize() yields RREF."""
 
@@ -128,15 +118,6 @@ class Subspace:
             ech.insert(v)
         return cls(order, ambient, ech.canonical_rows())
 
-    @classmethod
-    def zero(cls, order: int, ambient: int) -> "Subspace":
-        return cls(order, ambient, [])
-
-    @classmethod
-    def full(cls, order: int, ambient: int) -> "Subspace":
-        one = FieldElem.one(order)
-        return cls(order, ambient, [{i: one} for i in range(ambient)])
-
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -208,11 +189,8 @@ class LinearMap:
         self.order = order
         self.source_dim = source_dim
         self.target_dim = target_dim
-        cols = []
-        for c in columns:
-            cols.append(c if isinstance(c, dict) else sp_from_dense(order, c))
-        assert len(cols) == source_dim
-        self.columns = cols
+        self.columns = list(columns)
+        assert len(self.columns) == source_dim
 
     @classmethod
     def identity(cls, order, dim):

@@ -21,7 +21,8 @@ import json
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .scalars import divisors
+from .scalars import divisors, is_odd_prime
+from .serialize import canonical_json
 
 PROVER_MIN_DIM = 4
 PROVER_MAX_DIM = 200
@@ -33,14 +34,20 @@ def full_orbit(d: int) -> str:
     return f"full-orbit={d}"
 
 
-def _parse_full_orbit(flag: str):
-    if not flag.startswith("full-orbit="):
-        return None
-    value = flag.split("=", 1)[1]
-    try:
-        return int(value)
-    except ValueError:
-        raise ProverError(f"flag {flag!r}: block dimension {value!r} is not an integer") from None
+def _parse_flags(flags):
+    """(free_translation, {flag: d} for each full-orbit=<d> flag); any other
+    flag, or a block dimension that is not an integer, raises ProverError."""
+    orbit = {}
+    for f in flags:
+        if f.startswith("full-orbit="):
+            value = f.split("=", 1)[1]
+            try:
+                orbit[f] = int(value)
+            except ValueError:
+                raise ProverError(f"flag {f!r}: block dimension {value!r} is not an integer") from None
+        elif f != FREE_TRANSLATION:
+            raise ProverError(f"unknown flag {f!r}")
+    return FREE_TRANSLATION in flags, orbit
 
 
 CITATIONS = {
@@ -149,8 +156,7 @@ class RuleStep:
 
     @property
     def citation(self):
-        base = self.rule.split("@")[0]
-        return CITATIONS[base]
+        return CITATIONS[self.rule]
 
     def to_json(self):
         return {
@@ -231,16 +237,12 @@ class EliminationReport:
         }
 
     def serialize(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
+        return canonical_json(self.to_json())
 
 
 # ---------------------------------------------------------------------------
 # axiom rules: structural facts imported with citations, off by default
 # ---------------------------------------------------------------------------
-
-def _is_odd_prime(p):
-    return p >= 3 and p % 2 == 1 and all(p % d for d in range(3, int(p ** 0.5) + 1, 2))
-
 
 def _axiom_pq_half_dim(n, g, assumptions):
     if not assumptions.nonsemisimple or n % 2 or g * 2 != n:
@@ -249,7 +251,7 @@ def _axiom_pq_half_dim(n, g, assumptions):
     for p in range(3, int(m ** 0.5) + 1, 2):
         if m % p == 0:
             q = m // p
-            if p != q and _is_odd_prime(p) and _is_odd_prime(q):
+            if p != q and is_odd_prime(p) and is_odd_prime(q):
                 return f"n = 2*{p}*{q}, g = {p}*{q} = {g}"
     return None
 
@@ -261,36 +263,31 @@ AXIOMS = {"pq-half-dim": ("A-pq-half-dim", _axiom_pq_half_dim)}
 # profile enumeration
 # ---------------------------------------------------------------------------
 
-def enumerate_profiles(n, assumptions: Assumptions, g=None):
-    """All admissible profiles in deterministic order (by g, then blocks)."""
+def enumerate_profiles(n, assumptions: Assumptions, g):
+    """All admissible profiles with |G(H)| = g, ordered by blocks.  The
+    depth-first walk emits a block tuple before its extensions and extends by
+    increasing (d, m), so the order is strictly increasing as it stands."""
     if not (PROVER_MIN_DIM <= n <= PROVER_MAX_DIM):
         raise ProverError(f"dimension must be in [{PROVER_MIN_DIM}, {PROVER_MAX_DIM}], got {n}")
-    gs = [g] if g is not None else divisors(n)
-    cap = n - 1 if assumptions.nonsemisimple else n
+    if n % g:
+        raise ProverError(f"{g} does not divide {n}")
     out = []
-    for gv in gs:
-        if n % gv:
-            raise ProverError(f"{gv} does not divide {n}")
-        budget = cap - gv
-        profiles = []
 
-        def extend(d, blocks, left):
-            if blocks or not assumptions.nonpointed:
-                profiles.append(tuple(blocks))
-            dd = d
-            while dd * dd <= left:
-                step = gv // gcd(gv, dd * dd)
-                m = step
-                while m * dd * dd <= left:
-                    blocks.append((dd, m))
-                    extend(dd + 1, blocks, left - m * dd * dd)
-                    blocks.pop()
-                    m += step
-                dd += 1
+    def extend(d, blocks, left):
+        if blocks or not assumptions.nonpointed:
+            out.append(CoradicalProfile(n, g, tuple(blocks)))
+        dd = d
+        while dd * dd <= left:
+            step = g // gcd(g, dd * dd)
+            m = step
+            while m * dd * dd <= left:
+                blocks.append((dd, m))
+                extend(dd + 1, blocks, left - m * dd * dd)
+                blocks.pop()
+                m += step
+            dd += 1
 
-        extend(2, [], budget)
-        profiles = sorted(set(profiles))
-        out.extend(CoradicalProfile(n, gv, b) for b in profiles)
+    extend(2, [], (n - 1 if assumptions.nonsemisimple else n) - g)
     return out
 
 
@@ -303,7 +300,7 @@ def no_skew_established(profile: CoradicalProfile) -> bool:
 
 
 def apply_base_pack(profile: CoradicalProfile, assumptions: Assumptions):
-    """Returns (eliminated, steps, no_skew)."""
+    """Returns (eliminated, steps)."""
     steps = []
     n, g = profile.n, profile.g
     no_skew = no_skew_established(profile)
@@ -316,7 +313,7 @@ def apply_base_pack(profile: CoradicalProfile, assumptions: Assumptions):
                 "profile has no simple blocks, so the coradical is a group algebra; "
                 "a nontrivial skew-primitive must exist, contradicting R-gcd",
             ))
-            return True, steps, no_skew
+            return True, steps
         d1 = profile.blocks[0][0]
         bound = profile.c0 + (2 * d1 + 1) * g + d1 * d1
         detail = (
@@ -325,28 +322,31 @@ def apply_base_pack(profile: CoradicalProfile, assumptions: Assumptions):
         )
         if n < bound:
             steps.append(RuleStep("R-bound", detail + ": violated"))
-            return True, steps, no_skew
+            return True, steps
         steps.append(RuleStep("R-bound", detail + ": satisfied"))
-    return False, steps, no_skew
+    return False, steps
 
 
 # ---------------------------------------------------------------------------
 # extended pack: integer feasibility over the isotypic block dimensions
 # ---------------------------------------------------------------------------
 
-def _variable_system(profile: CoradicalProfile, flags, no_skew, assumptions, witness_class):
-    """Variable specs (name, weight, modulus, minimum) for one witness branch."""
+def _variable_system(profile: CoradicalProfile, flags, assumptions, witness_class):
+    """Variable specs (name, weight, modulus, minimum) for one witness branch,
+    and the full-orbit flags that raised a minimum: full-orbit=d applies when
+    the witness class d is a single translation pack, m = g / gcd(g, d^2)."""
     g = profile.g
-    exist = no_skew and assumptions.nonsemisimple
-    free_translation = FREE_TRANSLATION in flags
-    orbit_dims = {d for d in (_parse_full_orbit(f) for f in flags) if d is not None}
+    exist = no_skew_established(profile) and assumptions.nonsemisimple
+    free_translation, orbit = _parse_flags(flags)
     variables = []
     variables.append(("y_GG", 1, g, g if exist else 0))
+    used = ()
     for d, m in profile.blocks:
         minimum = 0
         if exist and witness_class == d:
-            if d in orbit_dims and m == g // gcd(g, d * d):
+            if d in orbit.values() and m == g // gcd(g, d * d):
                 minimum = g * d * m
+                used = (full_orbit(d),)
             else:
                 minimum = g * d
         variables.append((f"y_GD_{d}", 2, g * d, minimum))
@@ -356,7 +356,7 @@ def _variable_system(profile: CoradicalProfile, flags, no_skew, assumptions, wit
             modulus = lcm(g, di * dj) if free_translation else di * dj
             minimum = di * di if (exist and witness_class == di and di == dj) else 0
             variables.append((f"y_DD_{di}_{dj}", 1, modulus, minimum))
-    return variables
+    return variables, used
 
 
 def _first_solution(variables, total):
@@ -412,35 +412,27 @@ def naive_assignment_oracle(variables, total):
 
 
 def applicable_flags(profile: CoradicalProfile, flags):
-    out = []
+    """The flags less those naming a block dimension absent from the profile."""
     dims = {d for d, _ in profile.blocks}
-    for f in flags:
-        d = _parse_full_orbit(f)
-        if d is None or d in dims:
-            out.append(f)
-    return tuple(out)
+    _, orbit = _parse_flags(flags)
+    return tuple(f for f in flags if f not in orbit or orbit[f] in dims)
 
 
-def apply_extended_pack(profile: CoradicalProfile, assumptions: Assumptions, flags=(),
-                        no_skew=None):
+def apply_extended_pack(profile: CoradicalProfile, assumptions: Assumptions, flags=()):
     """Complete decision procedure for the stated integer constraint system.
 
-    Branches over the witness class required by the existence rule; FEASIBLE
+    Branches over the witness class required by the existence rule, which
+    holds when no_skew_established(profile) and H is nonsemisimple; FEASIBLE
     iff some branch admits a solution.  Flags naming a block dimension absent
     from the profile are an error (use applicable_flags to filter upstream).
     """
     flags = tuple(flags)
+    free_translation, orbit = _parse_flags(flags)
     dims = {d for d, _ in profile.blocks}
-    for f in flags:
-        d = _parse_full_orbit(f)
-        if d is None:
-            if f != FREE_TRANSLATION:
-                raise ProverError(f"unknown flag {f!r}")
-        elif d not in dims:
+    for f, d in orbit.items():
+        if d not in dims:
             raise ProverError(f"flag {f!r} references a block dimension absent from the profile")
-    if no_skew is None:
-        no_skew = no_skew_established(profile)
-    exist = no_skew and assumptions.nonsemisimple
+    exist = no_skew_established(profile) and assumptions.nonsemisimple
     steps = []
     total = profile.n - profile.c0
     steps.append(RuleStep("E-div-GG", f"g = {profile.g} divides y_GG"))
@@ -449,7 +441,7 @@ def apply_extended_pack(profile: CoradicalProfile, assumptions: Assumptions, fla
     ds = [d for d, _ in profile.blocks]
     for i, di in enumerate(ds):
         for dj in ds[i:]:
-            if FREE_TRANSLATION in flags:
+            if free_translation:
                 steps.append(RuleStep(
                     "E-free-translation",
                     f"lcm({profile.g}, {di * dj}) = {lcm(profile.g, di * dj)} divides y_DD_{di}_{dj}",
@@ -458,20 +450,14 @@ def apply_extended_pack(profile: CoradicalProfile, assumptions: Assumptions, fla
             else:
                 steps.append(RuleStep("E-div-DD", f"{di * dj} divides y_DD_{di}_{dj}"))
     branches = [d for d, _ in profile.blocks] if exist else [None]
-    if exist and not profile.blocks:
-        branches = []
     for witness in branches:
-        variables = _variable_system(profile, flags, no_skew, assumptions, witness)
+        variables, used = _variable_system(profile, flags, assumptions, witness)
         if witness is not None:
-            used = ()
-            d_m = dict(profile.blocks)
-            if any(_parse_full_orbit(f) == witness for f in flags) and \
-               d_m[witness] == profile.g // gcd(profile.g, witness * witness):
-                used = (full_orbit(witness),)
+            if used:
                 steps.append(RuleStep(
                     "E-full-orbit",
                     f"witness class d={witness}: per-side y_GD >= "
-                    f"{profile.g}*{witness}*{d_m[witness]}",
+                    f"{profile.g}*{witness}*{dict(profile.blocks)[witness]}",
                     flags=used,
                 ))
             steps.append(RuleStep(
@@ -505,9 +491,7 @@ def prove(n, assumptions: Assumptions = None, pack="base", flags=(), axioms=()) 
     if pack not in ("base", "extended"):
         raise ProverError(f"pack must be 'base' or 'extended', got {pack!r}")
     flags = tuple(sorted(set(flags)))
-    for f in flags:
-        if f != FREE_TRANSLATION and _parse_full_orbit(f) is None:
-            raise ProverError(f"unknown flag {f!r}")
+    _parse_flags(flags)
     for a in axioms:
         if a not in AXIOMS:
             raise ProverError(f"unknown axiom {a!r}")
@@ -539,16 +523,14 @@ def prove(n, assumptions: Assumptions = None, pack="base", flags=(), axioms=()) 
             continue
         pvs = []
         for prof in profiles:
-            eliminated, steps, no_skew = apply_base_pack(prof, assumptions)
+            eliminated, steps = apply_base_pack(prof, assumptions)
             if eliminated:
                 pvs.append(ProfileVerdict(prof, True, steps))
                 continue
             if pack == "base":
                 pvs.append(ProfileVerdict(prof, False, steps))
                 continue
-            ext = apply_extended_pack(
-                prof, assumptions, applicable_flags(prof, flags), no_skew=no_skew
-            )
+            ext = apply_extended_pack(prof, assumptions, applicable_flags(prof, flags))
             pvs.append(ProfileVerdict(prof, ext.eliminated, steps + ext.steps, ext.assignment))
         verdicts.append(GVerdict(g, all(p.eliminated for p in pvs), [], pvs))
     return EliminationReport(n, assumptions, pack, flags, tuple(sorted(axioms)), verdicts)

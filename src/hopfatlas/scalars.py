@@ -41,6 +41,10 @@ def divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
+def is_odd_prime(p: int) -> bool:
+    return p >= 3 and p % 2 == 1 and all(p % d for d in range(3, int(p ** 0.5) + 1, 2))
+
+
 def _divide_monic(num: list[int], den: tuple[int, ...]) -> list[int]:
     # exact division by a monic integer polynomial, remainder must vanish
     num = list(num)

@@ -177,7 +177,7 @@ def witness_to_json(w) -> dict:
     return {
         "format": FORMAT_VERSION,
         "source": w.source_family,
-        "target": w.target if isinstance(w.target, str) else w.target.name,
+        "target": w.target,
         "N": order,
         "generator_images": images,
     }

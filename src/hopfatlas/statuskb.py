@@ -170,14 +170,6 @@ def _validate(kb):
                 raise ValueError(f"grouplike note {key}: unknown citation {c!r}")
 
 
-def open_dimensions() -> list:
-    """Dimensions <= 100 whose overall classification (column: other) is open."""
-    out = set()
-    for row in knowledge_base()["patterns"]:
-        out |= set(row["cells"]["other"].get("open_dims", []))
-    return sorted(out)
-
-
 def _cell_text(cell: dict) -> str:
     parts = []
     base = cell.get("status")

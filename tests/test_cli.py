@@ -55,6 +55,14 @@ def test_unknown_family_exit_code(capsys):
     assert exc.value.code == 3
 
 
+@pytest.mark.parametrize("family", ["kCdual", "kCxdual", "taftq"])
+def test_non_integer_family_parameter_exit_code(capsys, family):
+    with pytest.raises(SystemExit) as exc:
+        main(["invariants", family])
+    err = capsys.readouterr().err
+    assert exc.value.code == 3 and err == f"error: unknown family {family!r}\n"
+
+
 def test_prove_bad_full_orbit_flag_exit_code(capsys):
     code = main(["prove", "200", "--flag", "full-orbit=x"])
     err = capsys.readouterr().err

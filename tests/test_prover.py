@@ -9,13 +9,13 @@ from hopfatlas.prover import (
     CoradicalProfile,
     FREE_TRANSLATION,
     ProverError,
-    _variable_system,
     apply_base_pack,
     apply_extended_pack,
     applicable_flags,
     enumerate_profiles,
     full_orbit,
     naive_assignment_oracle,
+    no_skew_established,
     prove,
     replay,
 )
@@ -85,14 +85,14 @@ def test_base_pack_8p_g_eq_p():
         profiles = enumerate_profiles(8 * p, Assumptions(), g=p)
         assert profiles
         for prof in profiles:
-            eliminated, steps, no_skew = apply_base_pack(prof, Assumptions())
-            assert no_skew and eliminated
+            eliminated, steps = apply_base_pack(prof, Assumptions())
+            assert no_skew_established(prof) and eliminated
             assert any(s.rule == "R-bound" for s in steps)
 
 
 def test_base_pack_remark_bound_60():
     prof = CoradicalProfile(24, 8, ((2, 2),))
-    eliminated, steps, _ = apply_base_pack(prof, Assumptions())
+    eliminated, steps = apply_base_pack(prof, Assumptions())
     assert eliminated
     bound_step = [s for s in steps if s.rule == "R-bound"][0]
     assert "60" in bound_step.detail
@@ -100,7 +100,7 @@ def test_base_pack_remark_bound_60():
 
 def test_base_pack_2pq_g_eq_q():
     prof = CoradicalProfile(70, 7, ((2, 7),))
-    eliminated, steps, _ = apply_base_pack(prof, Assumptions())
+    eliminated, steps = apply_base_pack(prof, Assumptions())
     assert eliminated
 
 
