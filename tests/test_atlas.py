@@ -174,7 +174,8 @@ def test_matrix_coalgebra_only():
     assert d * d == 4
     for u in range(d):
         for v in range(d):
-            e_uv, delta = block[u][v], h.delta(block[u][v])
+            e_uv = block[u][v]
+            delta = h.delta(e_uv)
             expect = {}
             for l in range(d):
                 sp_add_into(expect, h.tensor_elem(block[u][l], block[l][v]))
