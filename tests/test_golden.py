@@ -8,7 +8,8 @@ the AC6 pairs, of `hopfatlas coinv` on the shipped surjections (both sides),
 of the algebra file of `tensor_hopf` on a few pairs, and of `hopfatlas prove`
 (stdout and the --trace file, a pair of digests per key) on a few dimensions
 under the base pack, the extended pack, and the extended pack with every flag
-and axiom.
+and axiom, and on the two largest pinned dimensions, 160 and 200, under the
+base and the extended pack.
 Regenerate them (only when an output change is intended) with
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden_digests.json
@@ -46,6 +47,8 @@ PROVE_DIMS = (42, 56, 66, 70, 78, 96)
 PROVE_SETTINGS = (["--pack", "base"], ["--pack", "extended"],
                   ["--pack", "extended", "--flag", "free-translation", "--flag", "full-orbit=2",
                    "--axiom", "pq-half-dim"])
+PROVE_LARGE_DIMS = (160, 200)
+PROVE_LARGE_SETTINGS = (["--pack", "base"], ["--pack", "extended"])
 
 
 def cases():
@@ -64,10 +67,11 @@ def cases():
             out.append((f"coinv {name} {side}", ["coinv", name, "--side", side]))
     for a, b in TENSOR_PAIRS:
         out.append((f"tensor {a} {b}", ["tensor", a, b]))
-    for n in PROVE_DIMS:
-        for setting in PROVE_SETTINGS:
-            argv = ["prove", str(n), *setting]
-            out.append((" ".join(argv), argv + ["--trace"]))
+    for dims, settings in ((PROVE_DIMS, PROVE_SETTINGS), (PROVE_LARGE_DIMS, PROVE_LARGE_SETTINGS)):
+        for n in dims:
+            for setting in settings:
+                argv = ["prove", str(n), *setting]
+                out.append((" ".join(argv), argv + ["--trace"]))
     return out
 
 
