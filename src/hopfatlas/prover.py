@@ -18,7 +18,7 @@ Eliminations carry replayable traces with one citation string per rule.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd, lcm
 
 from .scalars import divisors, is_odd_prime
@@ -135,10 +135,10 @@ class CoradicalProfile:
     n: int
     g: int
     blocks: tuple  # ((d, m), ...), d strictly increasing
+    c0: int = field(init=False, repr=False, compare=False)  # dim H_0, summed once
 
-    @property
-    def c0(self):
-        return self.g + sum(m * d * d for d, m in self.blocks)
+    def __post_init__(self):
+        object.__setattr__(self, "c0", self.g + sum(m * d * d for d, m in self.blocks))
 
     def to_json(self):
         return {"n": self.n, "g": self.g, "blocks": [list(b) for b in self.blocks]}
@@ -361,25 +361,34 @@ def _variable_system(profile: CoradicalProfile, flags, assumptions, witness_clas
 
 def _first_solution(variables, total):
     """Lexicographically least solution of sum(weight*value) = total with
-    value in modulus*Z, value >= minimum; None if infeasible."""
+    value in modulus*Z, value >= minimum; None if infeasible.
 
-    def rec(idx, remaining, acc):
-        if idx == len(variables):
-            return dict(acc) if remaining == 0 else None
-        name, weight, modulus, minimum = variables[idx]
-        floor_rest = sum(w * mn for _, w, _, mn in variables[idx + 1:])
-        start = minimum if minimum % modulus == 0 else (minimum // modulus + 1) * modulus
-        value = start
-        while weight * value + floor_rest <= remaining:
-            acc.append((name, value))
-            sol = rec(idx + 1, remaining - weight * value, acc)
-            acc.pop()
-            if sol is not None:
-                return sol
-            value += modulus
+    reach[i] is the bitset of the sums up to total that variables i.. can
+    make (bit s set iff s is reachable; the empty sum is 0).  The answer is
+    rebuilt front to back: each variable takes its smallest value whose
+    remainder is reachable by the variables after it."""
+    if total < 0:
         return None
-
-    return rec(0, total, [])
+    mask = (1 << (total + 1)) - 1
+    starts = [-(-minimum // modulus) * modulus for _, _, modulus, minimum in variables]
+    reach = [1]
+    for (_, weight, modulus, _), start in zip(reversed(variables), reversed(starts)):
+        sums, step = reach[-1], weight * modulus
+        while step <= total:  # close under adding step, doubling the reach
+            sums |= (sums << step) & mask
+            step *= 2
+        reach.append((sums << weight * start) & mask)
+    if not reach[-1] >> total & 1:
+        return None
+    reach.reverse()
+    out, remaining = {}, total
+    for i, (name, weight, modulus, _) in enumerate(variables):
+        value = starts[i]
+        while not reach[i + 1] >> (remaining - weight * value) & 1:
+            value += modulus
+        out[name] = value
+        remaining -= weight * value
+    return out
 
 
 def naive_assignment_oracle(variables, total):

@@ -1,7 +1,9 @@
 import random
+from itertools import product
 from math import gcd
 
 import pytest
+from dfs_search import _first_solution as dfs_first_solution
 
 from hopfatlas.prover import (
     AXIOMS,
@@ -9,6 +11,8 @@ from hopfatlas.prover import (
     CoradicalProfile,
     FREE_TRANSLATION,
     ProverError,
+    _first_solution,
+    _variable_system,
     apply_base_pack,
     apply_extended_pack,
     applicable_flags,
@@ -209,23 +213,40 @@ def test_eliminated_traces_have_citations():
 
 
 def test_search_matches_naive_oracle_random():
+    # both walk the admissible tuples in lexicographic order, so they must
+    # return the same assignment, not merely agree on feasibility
     rng = random.Random(SEED)
-    from hopfatlas.prover import _first_solution
-
-    checked = 0
-    while checked < 25:
-        nvars = rng.randrange(1, 4)
-        variables = []
-        for i in range(nvars):
-            variables.append((f"v{i}", rng.choice((1, 2)), rng.randrange(1, 7),
-                              rng.randrange(0, 8)))
-        total = rng.randrange(0, 25)
+    for _ in range(25):
+        variables = [(f"v{i}", rng.choice((1, 2)), rng.randrange(1, 7), rng.randrange(0, 8))
+                     for i in range(rng.randrange(1, 6))]
+        total = rng.randrange(0, 61)
         fast = _first_solution(variables, total)
-        slow = naive_assignment_oracle(variables, total)
-        assert (fast is None) == (slow is None), (variables, total)
+        assert fast == naive_assignment_oracle(variables, total), (variables, total)
         if fast is not None:
             assert sum(w * fast[nm] for nm, w, _, _ in variables) == total
-        checked += 1
+
+
+def test_search_matches_dfs_on_every_extended_system():
+    # every variable system the extended pack can meet for n <= 60, every
+    # witness branch, under both assumption sets and every subset of FLAGS:
+    # the reachability search returns the depth-first walk's assignment
+    systems = 0
+    for asm in (Assumptions(), Assumptions(nonpointed=False, noncopointed=False)):
+        for n in range(4, 61):
+            for g in divisors(n):
+                for prof in enumerate_profiles(n, asm, g):
+                    if apply_base_pack(prof, asm)[0]:
+                        continue
+                    exist = no_skew_established(prof) and asm.nonsemisimple
+                    branches = [d for d, _ in prof.blocks] if exist else [None]
+                    total = n - prof.c0
+                    for on, witness in product(product((False, True), repeat=2), branches):
+                        flags = applicable_flags(prof, [f for f, o in zip(FLAGS, on) if o])
+                        variables, _ = _variable_system(prof, flags, asm, witness)
+                        want = dfs_first_solution(variables, total)
+                        assert _first_solution(variables, total) == want, (prof, flags, witness)
+                        systems += 1
+    assert systems > 10000
 
 
 def test_parameter_validation():
