@@ -453,8 +453,11 @@ def parse_family(s: str) -> FamilySpec:
         if param and s.startswith(prefix) and s.endswith(suffix):
             param = s[len(prefix):len(s) - len(suffix)]
             try:
-                return FamilySpec(fid, (param if fid == "dual" else int(param),))
-            except ValueError:  # the parameter is not an integer: try the next pattern
+                if fid == "dual":
+                    parse_family(param)  # the inner name must be a family itself
+                    return FamilySpec(fid, (param,))
+                return FamilySpec(fid, (int(param),))
+            except ValueError:  # not an integer, or not a family: try the next pattern
                 continue
     raise UnknownFamilyError(f"unknown family {s!r}")
 

@@ -36,15 +36,22 @@ def full_orbit(d: int) -> str:
 
 def _parse_flags(flags):
     """(free_translation, {flag: d} for each full-orbit=<d> flag); any other
-    flag, or a block dimension that is not an integer, raises ProverError."""
+    flag, a block dimension that is not an integer >= 2, or one not spelled
+    as str(d) (such as 02, +2 or " 2") raises ProverError, so that each
+    hypothesis has one spelling and one trace."""
     orbit = {}
     for f in flags:
         if f.startswith("full-orbit="):
             value = f.split("=", 1)[1]
             try:
-                orbit[f] = int(value)
+                d = int(value)
             except ValueError:
-                raise ProverError(f"flag {f!r}: block dimension {value!r} is not an integer") from None
+                d = None
+            if d is None or d < 2:
+                raise ProverError(f"flag {f!r}: block dimension {value!r} is not an integer >= 2")
+            if value != str(d):
+                raise ProverError(f"flag {f!r}: write it as {full_orbit(d)!r}")
+            orbit[f] = d
         elif f != FREE_TRANSLATION:
             raise ProverError(f"unknown flag {f!r}")
     return FREE_TRANSLATION in flags, orbit

@@ -69,6 +69,31 @@ def test_prove_bad_full_orbit_flag_exit_code(capsys):
     assert code == 3 and err.startswith("error: ") and "full-orbit=x" in err
 
 
+@pytest.mark.parametrize("spelling", ["02", "+2", " 2", "2_0"])
+def test_prove_noncanonical_full_orbit_flag_exit_code(capsys, spelling):
+    # one hypothesis, one spelling: stdout, the trace header and the steps
+    # would otherwise cite the same flag differently
+    code = main(["prove", "66", "--pack", "extended", "--flag", "full-orbit=2",
+                 "--flag", f"full-orbit={spelling}"])
+    captured = capsys.readouterr()
+    canonical = f"full-orbit={int(spelling)}"
+    assert code == 3 and captured.out == ""
+    assert captured.err == f"error: flag 'full-orbit={spelling}': write it as {canonical!r}\n"
+
+
+@pytest.mark.parametrize("dim", ["1", "-2"])
+def test_prove_full_orbit_below_two_exit_code(capsys, dim):
+    code = main(["prove", "66", "--pack", "extended", "--flag", f"full-orbit={dim}"])
+    err = capsys.readouterr().err
+    assert code == 3 and err == f"error: flag 'full-orbit={dim}': block dimension {dim!r} is not an integer >= 2\n"
+
+
+@pytest.mark.parametrize("family", ["dual:", "dual:nosuchfamily", "dual:dual:"])
+def test_unknown_dual_family_names_the_input(capsys, family):
+    code, err = _exit_code_and_error(capsys, ["invariants", family])
+    assert code == 3 and err == f"error: unknown family {family!r}\n"
+
+
 def test_iso_bad_grid_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["iso", "taft2", "dual:taft2", "--grid", "foo"])
