@@ -3,8 +3,8 @@ from itertools import product
 from math import gcd
 
 import pytest
-from dfs_search import _first_solution as dfs_first_solution
 
+from dfs_search import _first_solution as dfs_first_solution
 from hopfatlas.prover import (
     AXIOMS,
     Assumptions,
