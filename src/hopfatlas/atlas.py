@@ -454,8 +454,8 @@ def parse_family(s: str) -> FamilySpec:
             param = s[len(prefix):len(s) - len(suffix)]
             try:
                 if fid == "dual":
-                    parse_family(param)  # the inner name must be a family itself
-                    return FamilySpec(fid, (param,))
+                    # the inner name must be a family itself; store its canonical name
+                    return FamilySpec(fid, (family_string(parse_family(param)),))
                 return FamilySpec(fid, (int(param),))
             except ValueError:  # not an integer, or not a family: try the next pattern
                 continue

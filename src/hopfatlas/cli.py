@@ -62,7 +62,7 @@ def cmd_verify(args):
 def cmd_invariants(args):
     h = _build(args.family)
     s = inv.summarize(h)
-    print(f"family={args.family}")
+    print(f"family={h.metadata['family']}")
     print(f"dim={s.dim}")
     print(f"corad_dim={s.corad_dim}")
     print(f"r={s.grouplike_count}" + ("" if s.r_certified else " (uncertified)"))
@@ -77,7 +77,7 @@ def cmd_invariants(args):
         print(f"skew_dims={dims}")
     if args.report:
         payload = {
-            "family": args.family,
+            "family": h.metadata["family"],
             "dim": s.dim,
             "corad_dim": s.corad_dim,
             "r": s.grouplike_count,
@@ -90,7 +90,7 @@ def cmd_invariants(args):
             "filtration": list(s.filtration),
             "skew_dims": sorted(s.skew_table.values()),
         }
-        _write(args.report, canonical_json(payload))
+        _write(args.report, [canonical_json(payload)])
     return EXIT_OK
 
 
@@ -98,7 +98,7 @@ def cmd_dual(args):
     h = _build(args.family)
     text = dump_algebra(hopf_dual(h))
     if args.out:
-        _write(args.out, text)
+        _write(args.out, [text])
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -106,14 +106,14 @@ def cmd_dual(args):
 
 def cmd_export(args):
     h = _build(args.family)
-    _write(args.out, dump_algebra(h))
+    _write(args.out, [dump_algebra(h)])
     return EXIT_OK
 
 
-def _write(path, text):
+def _write(path, chunks):
     try:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as e:
         print(f"error: cannot write {path}: {e}", file=sys.stderr)
         sys.exit(EXIT_IO)
@@ -238,7 +238,7 @@ def cmd_prove(args):
         if cap is not None and len(feasible) > cap:
             print(f"  g={v.g} ... {len(feasible) - cap} more feasible profiles (--verbose lists all)")
     if args.trace:
-        _write(args.trace, report.serialize())
+        _write(args.trace, report.chunks())
     return EXIT_OK
 
 

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 from math import gcd, lcm
 
 from .scalars import divisors, is_odd_prime
-from .serialize import canonical_json
 
 PROVER_MIN_DIM = 4
 PROVER_MAX_DIM = 200
@@ -143,12 +143,11 @@ class CoradicalProfile:
     g: int
     blocks: tuple  # ((d, m), ...), d strictly increasing
     c0: int = field(init=False, repr=False, compare=False)  # dim H_0, summed once
+    no_skew: bool = field(init=False, repr=False, compare=False)  # R-gcd: gcd(g, n/g) = 1, taken once
 
     def __post_init__(self):
         object.__setattr__(self, "c0", self.g + sum(m * d * d for d, m in self.blocks))
-
-    def to_json(self):
-        return {"n": self.n, "g": self.g, "blocks": [list(b) for b in self.blocks]}
+        object.__setattr__(self, "no_skew", gcd(self.g, self.n // self.g) == 1)
 
     def label(self):
         inner = ", ".join(f"({d},{m})" for d, m in self.blocks)
@@ -165,14 +164,6 @@ class RuleStep:
     def citation(self):
         return CITATIONS[self.rule]
 
-    def to_json(self):
-        return {
-            "rule": self.rule,
-            "detail": self.detail,
-            "citation": self.citation,
-            "flags": list(self.flags),
-        }
-
 
 @dataclass
 class ProfileVerdict:
@@ -180,16 +171,6 @@ class ProfileVerdict:
     eliminated: bool
     steps: list
     assignment: dict = None
-
-    def to_json(self):
-        out = {
-            "profile": self.profile.to_json(),
-            "verdict": "ELIMINATED" if self.eliminated else "FEASIBLE",
-            "steps": [s.to_json() for s in self.steps],
-        }
-        if self.assignment is not None:
-            out["assignment"] = {k: v for k, v in sorted(self.assignment.items())}
-        return out
 
 
 @dataclass
@@ -203,13 +184,8 @@ class GVerdict:
     def used_axiom(self):
         return bool(self.axiom_steps)
 
-    def to_json(self):
-        return {
-            "g": self.g,
-            "status": "ELIMINATED" if self.eliminated else "SURVIVING",
-            "axiom_steps": [s.to_json() for s in self.axiom_steps],
-            "profiles": [p.to_json() for p in self.profiles],
-        }
+
+_CITATIONS_JSON = {rule: _quote(text) for rule, text in CITATIONS.items()}
 
 
 @dataclass
@@ -233,18 +209,43 @@ class EliminationReport:
                 return v
         raise KeyError(g)
 
-    def to_json(self):
-        return {
-            "n": self.n,
-            "assumptions": self.assumptions.to_json(),
-            "pack": self.pack,
-            "flags": list(self.flags),
-            "axioms": list(self.axioms),
-            "verdicts": [v.to_json() for v in self.verdicts],
-        }
+    def chunks(self):
+        """The trace: the report as canonical JSON (keys sorted, no spaces,
+        ASCII, one final newline), in pieces of at most one profile each.
+        Each distinct step is encoded once per call."""
+        encoded = {}
+
+        def steps_json(steps):
+            out = []
+            for s in steps:
+                key = (s.rule, s.detail, s.flags)
+                text = encoded.get(key)
+                if text is None:
+                    text = encoded[key] = (
+                        f'{{"citation":{_CITATIONS_JSON[s.rule]},"detail":{_quote(s.detail)},'
+                        f'"flags":[{",".join(map(_quote, s.flags))}],"rule":{_quote(s.rule)}}}')
+                out.append(text)
+            return ",".join(out)
+
+        head = {"assumptions": self.assumptions.to_json(), "axioms": list(self.axioms),
+                "flags": list(self.flags), "n": self.n, "pack": self.pack}
+        # "verdicts" sorts after every key of the head
+        yield json.dumps(head, sort_keys=True, separators=(",", ":"))[:-1] + ',"verdicts":['
+        for i, v in enumerate(self.verdicts):
+            yield f'{"," if i else ""}{{"axiom_steps":[{steps_json(v.axiom_steps)}],"g":{v.g},"profiles":['
+            for j, pv in enumerate(v.profiles):
+                p = pv.profile
+                assignment = "" if pv.assignment is None else '"assignment":{%s},' % ",".join(
+                    f"{_quote(k)}:{x}" for k, x in sorted(pv.assignment.items()))
+                blocks = ",".join(f"[{d},{m}]" for d, m in p.blocks)
+                yield (f'{"," if j else ""}{{{assignment}"profile":{{"blocks":[{blocks}],'
+                       f'"g":{p.g},"n":{p.n}}},"steps":[{steps_json(pv.steps)}],'
+                       f'"verdict":"{"ELIMINATED" if pv.eliminated else "FEASIBLE"}"}}')
+            yield f'],"status":"{"ELIMINATED" if v.eliminated else "SURVIVING"}"}}'
+        yield "]}\n"
 
     def serialize(self) -> str:
-        return canonical_json(self.to_json())
+        return "".join(self.chunks())
 
 
 # ---------------------------------------------------------------------------
@@ -303,17 +304,16 @@ def enumerate_profiles(n, assumptions: Assumptions, g):
 # ---------------------------------------------------------------------------
 
 def no_skew_established(profile: CoradicalProfile) -> bool:
-    return gcd(profile.g, profile.n // profile.g) == 1
+    return profile.no_skew
 
 
 def apply_base_pack(profile: CoradicalProfile, assumptions: Assumptions):
     """Returns (eliminated, steps)."""
     steps = []
     n, g = profile.n, profile.g
-    no_skew = no_skew_established(profile)
-    if no_skew:
+    if profile.no_skew:
         steps.append(RuleStep("R-gcd", f"gcd({g}, {n // g}) = 1: only trivial skew-primitives"))
-    if no_skew and assumptions.nonsemisimple:
+    if profile.no_skew and assumptions.nonsemisimple:
         if not profile.blocks:
             steps.append(RuleStep(
                 "R-pointed-skew",
@@ -343,7 +343,7 @@ def _variable_system(profile: CoradicalProfile, flags, assumptions, witness_clas
     and the full-orbit flags that raised a minimum: full-orbit=d applies when
     the witness class d is a single translation pack, m = g / gcd(g, d^2)."""
     g = profile.g
-    exist = no_skew_established(profile) and assumptions.nonsemisimple
+    exist = profile.no_skew and assumptions.nonsemisimple
     free_translation, orbit = _parse_flags(flags)
     variables = []
     variables.append(("y_GG", 1, g, g if exist else 0))
@@ -448,7 +448,7 @@ def apply_extended_pack(profile: CoradicalProfile, assumptions: Assumptions, fla
     for f, d in orbit.items():
         if d not in dims:
             raise ProverError(f"flag {f!r} references a block dimension absent from the profile")
-    exist = no_skew_established(profile) and assumptions.nonsemisimple
+    exist = profile.no_skew and assumptions.nonsemisimple
     steps = []
     total = profile.n - profile.c0
     steps.append(RuleStep("E-div-GG", f"g = {profile.g} divides y_GG"))

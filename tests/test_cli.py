@@ -135,6 +135,37 @@ def test_prove_trace_and_replay(tmp_path, capsys):
     assert code == 0 and "bit-for-bit" in out
 
 
+def test_prove_trace_file_is_the_serialized_report(tmp_path, capsys):
+    from hopfatlas.prover import prove
+
+    trace = tmp_path / "t.json"
+    code, _ = run(capsys, "prove", "70", "--pack", "extended", "--flag", "free-translation",
+                  "--axiom", "pq-half-dim", "--trace", str(trace))
+    assert code == 0
+    report = prove(70, pack="extended", flags=("free-translation",), axioms=("pq-half-dim",))
+    assert trace.read_bytes() == report.serialize().encode()
+    code, out = run(capsys, "prove", "--replay", str(trace))
+    assert code == 0 and out == "replay: verdicts reproduced bit-for-bit\n"
+
+
+def test_prove_trace_in_missing_directory_exit_code(tmp_path, capsys):
+    trace = tmp_path / "nodir" / "t.json"
+    code, err = _exit_code_and_error(capsys, ["prove", "24", "--trace", str(trace)])
+    assert code == 4 and err.startswith(f"error: cannot write {trace}: ") and err.count("\n") == 1
+    assert "Traceback" not in err and not trace.parent.exists()
+
+
+def test_dual_family_name_is_canonical(capsys):
+    # one algebra, one family string, one build-cache entry
+    from hopfatlas import atlas
+
+    lines = {spelling: run(capsys, "invariants", spelling)[1].splitlines()[0]
+             for spelling in ("dual:taft2", "dual: taft2", " dual:  taft2 ")}
+    assert set(lines.values()) == {"family=dual:taft2"}
+    assert atlas.parse_family("dual: dual: taft2") == atlas.parse_family("dual:dual:taft2")
+    assert [k for k in atlas._BUILD_CACHE if k.startswith("dual:") and "taft2" in k] == ["dual:taft2"]
+
+
 def test_status_and_table(capsys):
     code, out = run(capsys, "status", "24")
     assert code == 0 and "pointed: completed" in out and "other: open" in out

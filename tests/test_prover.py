@@ -1,3 +1,4 @@
+import os
 import random
 from itertools import product
 from math import gcd
@@ -5,12 +6,14 @@ from math import gcd
 import pytest
 
 from dfs_search import _first_solution as dfs_first_solution
+from json_trace import serialize as dict_serialize
 from hopfatlas.prover import (
     AXIOMS,
     Assumptions,
     CoradicalProfile,
     FREE_TRANSLATION,
     ProverError,
+    RuleStep,
     _first_solution,
     _variable_system,
     apply_base_pack,
@@ -27,6 +30,7 @@ from hopfatlas.scalars import divisors
 
 FLAGS = (full_orbit(2), FREE_TRANSLATION)
 SEED = 0
+TEST_SEED = int(os.environ.get("HOPFATLAS_TEST_SEED", "0"))
 
 
 def blocks_of(profiles, g):
@@ -196,6 +200,39 @@ def test_trace_replay_bit_for_bit():
         text = prove(n, pack=pack, flags=flags, axioms=axioms).serialize()
         ok, _ = replay(text)
         assert ok
+
+
+def test_trace_writer_matches_dict_oracle():
+    # the fragment writer against the dict tree it replaced, byte for byte
+    for asm in (Assumptions(), Assumptions(nonsemisimple=False, nonpointed=False)):
+        for pack in ("base", "extended"):
+            for n in range(4, 61):
+                report = prove(n, asm, pack)
+                assert report.serialize() == dict_serialize(report), (n, pack, asm)
+
+
+def test_trace_writer_matches_dict_oracle_with_flags_and_axiom():
+    # 70 and 66 are 2pq, where the axiom applies, under both flags; four more
+    # dimensions and their flags drawn by HOPFATLAS_TEST_SEED
+    rng = random.Random(TEST_SEED)
+    cases = [(70, FLAGS), (66, FLAGS)] + [
+        (n, tuple(f for f in FLAGS if rng.random() < 0.5)) for n in rng.sample(range(4, 91), 4)]
+    for n, flags in cases:
+        for asm in (Assumptions(), Assumptions(nonsemisimple=False, nonpointed=False)):
+            report = prove(n, asm, "extended", flags, ("pq-half-dim",))
+            assert report.serialize() == dict_serialize(report), (n, flags, asm)
+
+
+def test_trace_writer_escapes_like_json_dumps():
+    # steps that differ only in flags, and details that need escaping
+    report = prove(24, pack="extended", flags=FLAGS)
+    steps = report.verdicts[0].profiles[0].steps
+    steps += [RuleStep("E-search", 'a "quoted" \\ detail\n\tü\u2192\U0001d53d'),
+              RuleStep("E-search", "same detail", ()),
+              RuleStep("E-search", "same detail", (FREE_TRANSLATION,))]
+    report.verdicts[0].axiom_steps.append(steps[-1])
+    report.verdicts[0].profiles[0].assignment = {"y_GG": 0, 'y "odd"': 12}
+    assert report.serialize() == dict_serialize(report)
 
 
 def test_eliminated_traces_have_citations():
