@@ -24,7 +24,6 @@ from .prover import (
     applicable_flags,
     full_orbit,
     naive_assignment_oracle,
-    no_skew_established,
     prove,
 )
 from .statuskb import crosscheck_with_prover, status
@@ -251,7 +250,7 @@ def ac11_soundness(seed=0):
         flags = applicable_flags(profile, flags)
         asm = Assumptions()
         verdict = apply_extended_pack(profile, asm, flags)
-        branches = [d for d, _ in profile.blocks] if no_skew_established(profile) else [None]
+        branches = [d for d, _ in profile.blocks] if profile.no_skew else [None]
         oracle_feasible = False
         for witness in branches:
             variables, _ = _variable_system(profile, flags, asm, witness)

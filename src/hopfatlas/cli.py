@@ -203,7 +203,10 @@ def cmd_coinv(args):
 def cmd_prove(args):
     if args.replay:
         try:
-            ok, report = replay(_read(args.replay))
+            with open(args.replay) as fh:
+                ok, _ = replay(fh)
+        except (OSError, UnicodeDecodeError) as e:
+            _exit(EXIT_IO, f"cannot read {args.replay}: {e}")
         except TraceError as e:
             _exit(EXIT_IO, f"{args.replay}: malformed trace: {e}")
         print("replay: " + ("verdicts reproduced bit-for-bit" if ok else "MISMATCH"))

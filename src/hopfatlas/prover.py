@@ -17,6 +17,7 @@ Eliminations carry replayable traces with one citation string per rule.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
@@ -137,7 +138,7 @@ class Assumptions:
         return cls(**obj)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoradicalProfile:
     n: int
     g: int
@@ -154,8 +155,10 @@ class CoradicalProfile:
         return f"g={self.g} blocks={{{inner}}}"
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class RuleStep:
+    """One rule application; frozen, because a prove() call shares one
+    instance between every profile that takes the same step."""
     rule: str
     detail: str
     flags: tuple = ()
@@ -165,7 +168,29 @@ class RuleStep:
         return CITATIONS[self.rule]
 
 
-@dataclass
+class _Call:
+    """What one prove() call shares between its profiles: its flags, parsed
+    once, one RuleStep per distinct (rule, detail, flags), and one string per
+    distinct variable name (the keys of the assignments)."""
+    __slots__ = ("free_translation", "orbit", "_steps", "_names")
+
+    def __init__(self, flags=()):
+        self.free_translation, self.orbit = _parse_flags(flags)
+        self._steps = {}
+        self._names = {}
+
+    def name(self, text):
+        return self._names.setdefault(text, text)
+
+    def step(self, rule, detail, flags=()):
+        key = (rule, detail, flags)
+        s = self._steps.get(key)
+        if s is None:
+            s = self._steps[key] = RuleStep(rule, detail, flags)
+        return s
+
+
+@dataclass(slots=True)
 class ProfileVerdict:
     profile: CoradicalProfile
     eliminated: bool
@@ -173,7 +198,7 @@ class ProfileVerdict:
     assignment: dict = None
 
 
-@dataclass
+@dataclass(slots=True)
 class GVerdict:
     g: int
     eliminated: bool
@@ -212,16 +237,17 @@ class EliminationReport:
     def chunks(self):
         """The trace: the report as canonical JSON (keys sorted, no spaces,
         ASCII, one final newline), in pieces of at most one profile each.
-        Each distinct step is encoded once per call."""
+        Each step object is encoded once per call: prove() shares one object
+        per distinct step, and the report keeps the steps alive, so their ids
+        stay distinct while the chunks are written."""
         encoded = {}
 
         def steps_json(steps):
             out = []
             for s in steps:
-                key = (s.rule, s.detail, s.flags)
-                text = encoded.get(key)
+                text = encoded.get(id(s))
                 if text is None:
-                    text = encoded[key] = (
+                    text = encoded[id(s)] = (
                         f'{{"citation":{_CITATIONS_JSON[s.rule]},"detail":{_quote(s.detail)},'
                         f'"flags":[{",".join(map(_quote, s.flags))}],"rule":{_quote(s.rule)}}}')
                 out.append(text)
@@ -303,19 +329,18 @@ def enumerate_profiles(n, assumptions: Assumptions, g):
 # base pack
 # ---------------------------------------------------------------------------
 
-def no_skew_established(profile: CoradicalProfile) -> bool:
-    return profile.no_skew
-
-
-def apply_base_pack(profile: CoradicalProfile, assumptions: Assumptions):
-    """Returns (eliminated, steps)."""
+def apply_base_pack(profile: CoradicalProfile, assumptions: Assumptions, call=None):
+    """Returns (eliminated, steps).  The verdict depends only on n, g, c0 and
+    the first block dimension d1; prove() passes its `call`, whose step table
+    the steps come from."""
+    step = (call or _Call()).step
     steps = []
     n, g = profile.n, profile.g
     if profile.no_skew:
-        steps.append(RuleStep("R-gcd", f"gcd({g}, {n // g}) = 1: only trivial skew-primitives"))
+        steps.append(step("R-gcd", f"gcd({g}, {n // g}) = 1: only trivial skew-primitives"))
     if profile.no_skew and assumptions.nonsemisimple:
         if not profile.blocks:
-            steps.append(RuleStep(
+            steps.append(step(
                 "R-pointed-skew",
                 "profile has no simple blocks, so the coradical is a group algebra; "
                 "a nontrivial skew-primitive must exist, contradicting R-gcd",
@@ -328,9 +353,9 @@ def apply_base_pack(profile: CoradicalProfile, assumptions: Assumptions):
             f"{(2 * d1 + 1) * g} + {d1 * d1} = {bound}; n = {n}"
         )
         if n < bound:
-            steps.append(RuleStep("R-bound", detail + ": violated"))
+            steps.append(step("R-bound", detail + ": violated"))
             return True, steps
-        steps.append(RuleStep("R-bound", detail + ": satisfied"))
+        steps.append(step("R-bound", detail + ": satisfied"))
     return False, steps
 
 
@@ -338,13 +363,15 @@ def apply_base_pack(profile: CoradicalProfile, assumptions: Assumptions):
 # extended pack: integer feasibility over the isotypic block dimensions
 # ---------------------------------------------------------------------------
 
-def _variable_system(profile: CoradicalProfile, flags, assumptions, witness_class):
+def _variable_system(profile: CoradicalProfile, flags, assumptions, witness_class, call=None):
     """Variable specs (name, weight, modulus, minimum) for one witness branch,
     and the full-orbit flags that raised a minimum: full-orbit=d applies when
-    the witness class d is a single translation pack, m = g / gcd(g, d^2)."""
+    the witness class d is a single translation pack, m = g / gcd(g, d^2).
+    Given a prove() `call`, its parsed flags are used and `flags` is not read."""
     g = profile.g
     exist = profile.no_skew and assumptions.nonsemisimple
-    free_translation, orbit = _parse_flags(flags)
+    call = call or _Call(flags)
+    free_translation, orbit = call.free_translation, call.orbit
     variables = []
     variables.append(("y_GG", 1, g, g if exist else 0))
     used = ()
@@ -356,13 +383,13 @@ def _variable_system(profile: CoradicalProfile, flags, assumptions, witness_clas
                 used = (full_orbit(d),)
             else:
                 minimum = g * d
-        variables.append((f"y_GD_{d}", 2, g * d, minimum))
+        variables.append((call.name(f"y_GD_{d}"), 2, g * d, minimum))
     ds = [d for d, _ in profile.blocks]
     for i, di in enumerate(ds):
         for dj in ds[i:]:
             modulus = lcm(g, di * dj) if free_translation else di * dj
             minimum = di * di if (exist and witness_class == di and di == dj) else 0
-            variables.append((f"y_DD_{di}_{dj}", 1, modulus, minimum))
+            variables.append((call.name(f"y_DD_{di}_{dj}"), 1, modulus, minimum))
     return variables, used
 
 
@@ -434,61 +461,65 @@ def applicable_flags(profile: CoradicalProfile, flags):
     return tuple(f for f in flags if f not in orbit or orbit[f] in dims)
 
 
-def apply_extended_pack(profile: CoradicalProfile, assumptions: Assumptions, flags=()):
+def apply_extended_pack(profile: CoradicalProfile, assumptions: Assumptions, flags=(), call=None):
     """Complete decision procedure for the stated integer constraint system.
 
     Branches over the witness class required by the existence rule, which
-    holds when no_skew_established(profile) and H is nonsemisimple; FEASIBLE
-    iff some branch admits a solution.  Flags naming a block dimension absent
-    from the profile are an error (use applicable_flags to filter upstream).
+    holds when profile.no_skew and H is nonsemisimple; FEASIBLE iff some
+    branch admits a solution.  Flags naming a block dimension absent from the
+    profile are an error (use applicable_flags to filter upstream).  prove()
+    passes its `call` instead, which holds its flags, parsed once (a flag on
+    a dimension absent from the profile then has no effect), and the step
+    table the steps come from; `flags` is then not read.
     """
-    flags = tuple(flags)
-    free_translation, orbit = _parse_flags(flags)
-    dims = {d for d, _ in profile.blocks}
-    for f, d in orbit.items():
-        if d not in dims:
-            raise ProverError(f"flag {f!r} references a block dimension absent from the profile")
+    if call is None:
+        call = _Call(tuple(flags))
+        dims = {d for d, _ in profile.blocks}
+        for f, d in call.orbit.items():
+            if d not in dims:
+                raise ProverError(f"flag {f!r} references a block dimension absent from the profile")
+    step = call.step
     exist = profile.no_skew and assumptions.nonsemisimple
     steps = []
     total = profile.n - profile.c0
-    steps.append(RuleStep("E-div-GG", f"g = {profile.g} divides y_GG"))
+    steps.append(step("E-div-GG", f"g = {profile.g} divides y_GG"))
     for d, m in profile.blocks:
-        steps.append(RuleStep("E-div-GD", f"{profile.g * d} divides y_GD_{d} (per side)"))
+        steps.append(step("E-div-GD", f"{profile.g * d} divides y_GD_{d} (per side)"))
     ds = [d for d, _ in profile.blocks]
     for i, di in enumerate(ds):
         for dj in ds[i:]:
-            if free_translation:
-                steps.append(RuleStep(
+            if call.free_translation:
+                steps.append(step(
                     "E-free-translation",
                     f"lcm({profile.g}, {di * dj}) = {lcm(profile.g, di * dj)} divides y_DD_{di}_{dj}",
                     flags=(FREE_TRANSLATION,),
                 ))
             else:
-                steps.append(RuleStep("E-div-DD", f"{di * dj} divides y_DD_{di}_{dj}"))
+                steps.append(step("E-div-DD", f"{di * dj} divides y_DD_{di}_{dj}"))
     branches = [d for d, _ in profile.blocks] if exist else [None]
     for witness in branches:
-        variables, used = _variable_system(profile, flags, assumptions, witness)
+        variables, used = _variable_system(profile, (), assumptions, witness, call)
         if witness is not None:
             if used:
-                steps.append(RuleStep(
+                steps.append(step(
                     "E-full-orbit",
                     f"witness class d={witness}: per-side y_GD >= "
                     f"{profile.g}*{witness}*{dict(profile.blocks)[witness]}",
                     flags=used,
                 ))
-            steps.append(RuleStep(
+            steps.append(step(
                 "E-exist",
                 f"witness class d={witness}: y_GG >= {profile.g}, minima "
                 + ", ".join(f"{nm} >= {mn}" for nm, _, _, mn in variables if mn),
             ))
         sol = _first_solution(variables, total)
         if sol is not None:
-            steps.append(RuleStep(
+            steps.append(step(
                 "E-search",
                 f"feasible: remaining {total} realized (witness class {witness})",
             ))
             return ProfileVerdict(profile, False, steps, assignment=sol)
-    steps.append(RuleStep(
+    steps.append(step(
         "E-search",
         f"no branch admits a nonnegative solution for remaining {total}",
     ))
@@ -501,13 +532,17 @@ def apply_extended_pack(profile: CoradicalProfile, assumptions: Assumptions, fla
 
 def prove(n, assumptions: Assumptions = None, pack="base", flags=(), axioms=()) -> EliminationReport:
     """Per divisor g of n: ELIMINATED (all profiles die, or an enabled axiom
-    applies) or SURVIVING with feasible profiles and example assignments."""
+    applies) or SURVIVING with feasible profiles and example assignments.
+
+    Each distinct step is one shared RuleStep, and the base pack runs once per
+    distinct (g, c0, d1); every ProfileVerdict still gets a list of its own."""
     if assumptions is None:
         assumptions = Assumptions()
     if pack not in ("base", "extended"):
         raise ProverError(f"pack must be 'base' or 'extended', got {pack!r}")
     flags = tuple(sorted(set(flags)))
-    _parse_flags(flags)
+    call = _Call(flags)
+    step = call.step
     for a in axioms:
         if a not in AXIOMS:
             raise ProverError(f"unknown axiom {a!r}")
@@ -520,47 +555,43 @@ def prove(n, assumptions: Assumptions = None, pack="base", flags=(), axioms=()) 
             rule_id, fn = AXIOMS[a]
             detail = fn(n, g, assumptions)
             if detail:
-                axiom_steps.append(RuleStep(rule_id, detail))
+                axiom_steps.append(step(rule_id, detail))
         if axiom_steps:
             verdicts.append(GVerdict(g, True, axiom_steps, []))
             continue
         profiles = enumerate_profiles(n, assumptions, g)
         if not profiles:
-            why = [RuleStep(
+            why = [step(
                 "R-enum-div",
                 f"no block multiset satisfies the per-class divisibility with "
                 f"c0 {'<' if assumptions.nonsemisimple else '<='} {n}"
                 + (" and at least one block (nonpointed)" if assumptions.nonpointed else ""),
             )]
             if assumptions.nonsemisimple:
-                why.append(RuleStep("R-enum-cosemi", f"c0 < {n} required"))
+                why.append(step("R-enum-cosemi", f"c0 < {n} required"))
             verdicts.append(GVerdict(g, True, [], [ProfileVerdict(
                 CoradicalProfile(n, g, ()), True, why)]))
             continue
+        base = {}  # (c0, d1) -> apply_base_pack's (eliminated, steps)
         pvs = []
         for prof in profiles:
-            eliminated, steps = apply_base_pack(prof, assumptions)
-            if eliminated:
-                pvs.append(ProfileVerdict(prof, True, steps))
+            key = (prof.c0, prof.blocks[0][0] if prof.blocks else None)
+            hit = base.get(key)
+            if hit is None:
+                hit = base[key] = apply_base_pack(prof, assumptions, call)
+            eliminated, steps = hit
+            if eliminated or pack == "base":
+                pvs.append(ProfileVerdict(prof, eliminated, list(steps)))
                 continue
-            if pack == "base":
-                pvs.append(ProfileVerdict(prof, False, steps))
-                continue
-            ext = apply_extended_pack(prof, assumptions, applicable_flags(prof, flags))
+            ext = apply_extended_pack(prof, assumptions, call=call)
             pvs.append(ProfileVerdict(prof, ext.eliminated, steps + ext.steps, ext.assignment))
         verdicts.append(GVerdict(g, all(p.eliminated for p in pvs), [], pvs))
     return EliminationReport(n, assumptions, pack, flags, tuple(sorted(axioms)), verdicts)
 
 
-def replay(trace_json: str) -> tuple:
-    """Re-run a serialized report; returns (ok, fresh_report) where ok means
-    the fresh serialization is byte-identical to the input.  A trace that is
-    not JSON of the serialized shape, or whose parameters prove() rejects,
-    raises TraceError."""
-    try:
-        obj = json.loads(trace_json)
-    except ValueError as e:
-        raise TraceError(f"not JSON: {e}") from None
+def _proved(obj) -> EliminationReport:
+    """prove() on the parameters of a parsed trace; TraceError if they are
+    missing, of the wrong type, or rejected by prove()."""
     keys = ("n", "assumptions", "pack", "flags", "axioms")
     if not isinstance(obj, dict) or any(k not in obj for k in keys):
         raise TraceError(f"not a JSON object with keys {', '.join(keys)}")
@@ -570,10 +601,64 @@ def replay(trace_json: str) -> tuple:
         if not (isinstance(obj[key], list) and all(isinstance(s, str) for s in obj[key])):
             raise TraceError(f"{key} must be a list of strings, got {obj[key]!r}")
     try:
-        report = prove(obj["n"], Assumptions.from_json(obj["assumptions"]), obj["pack"],
-                       tuple(obj["flags"]), tuple(obj["axioms"]))
+        return prove(obj["n"], Assumptions.from_json(obj["assumptions"]), obj["pack"],
+                     tuple(obj["flags"]), tuple(obj["axioms"]))
     except ProverError as e:
         raise TraceError(str(e)) from None
-    fresh = report.serialize()
-    ok = fresh == trace_json or fresh.rstrip("\n") == trace_json.rstrip("\n")
-    return ok, report
+
+
+_READ_SIZE = 1 << 16
+
+
+def _matches(chunks, text, rest) -> bool:
+    """Whether the chunks, joined, equal text followed by what is left to read
+    in rest, up to trailing newlines.  Only the last chunk ends in a newline:
+    the ones inside a trace's strings are escaped."""
+    pos = 0
+    for chunk in chunks:
+        chunk = chunk.rstrip("\n")
+        while len(text) - pos < len(chunk):
+            more = rest.read(_READ_SIZE)
+            if not more:
+                return False
+            text, pos = text[pos:] + more, 0
+        if not text.startswith(chunk, pos):
+            return False
+        pos += len(chunk)
+    while text:
+        if text[pos:].strip("\n"):
+            return False
+        text, pos = rest.read(_READ_SIZE), 0
+    return True
+
+
+def replay(trace) -> tuple:
+    """Re-run a serialized report; returns (ok, fresh_report) where ok means
+    the fresh serialization is byte-identical to the input, up to trailing
+    newlines.  trace is the text, or a seekable text file.  A trace that is
+    not JSON of the serialized shape, or whose parameters prove() rejects,
+    raises TraceError.
+
+    A canonical trace is checked as it is read: its head (the keys before
+    "verdicts") is parsed alone, and the fresh report's chunks are compared
+    with the text piece by piece.  Any other text, and any mismatch, is read
+    whole and parsed, so that the error or the verdict is the whole text's."""
+    if isinstance(trace, str):
+        trace = io.StringIO(trace)
+    text = trace.read(_READ_SIZE)
+    head_end = text.find(',"verdicts":[')
+    if head_end >= 0:
+        try:
+            report = _proved(json.loads(text[:head_end] + "}"))
+        except ValueError:  # not JSON, or a TraceError: the whole text decides
+            report = None
+        if report is not None and _matches(report.chunks(), text, trace):
+            return True, report
+    trace.seek(0)
+    text = trace.read()
+    try:
+        obj = json.loads(text)
+    except ValueError as e:
+        raise TraceError(f"not JSON: {e}") from None
+    report = _proved(obj)
+    return report.serialize().rstrip("\n") == text.rstrip("\n"), report

@@ -1,3 +1,6 @@
+import dataclasses
+import io
+import json
 import os
 import random
 from itertools import product
@@ -5,6 +8,7 @@ from math import gcd
 
 import pytest
 
+from hopfatlas import prover
 from dfs_search import _first_solution as dfs_first_solution
 from json_trace import serialize as dict_serialize
 from hopfatlas.prover import (
@@ -14,6 +18,7 @@ from hopfatlas.prover import (
     FREE_TRANSLATION,
     ProverError,
     RuleStep,
+    TraceError,
     _first_solution,
     _variable_system,
     apply_base_pack,
@@ -22,7 +27,6 @@ from hopfatlas.prover import (
     enumerate_profiles,
     full_orbit,
     naive_assignment_oracle,
-    no_skew_established,
     prove,
     replay,
 )
@@ -94,7 +98,7 @@ def test_base_pack_8p_g_eq_p():
         assert profiles
         for prof in profiles:
             eliminated, steps = apply_base_pack(prof, Assumptions())
-            assert no_skew_established(prof) and eliminated
+            assert prof.no_skew and eliminated
             assert any(s.rule == "R-bound" for s in steps)
 
 
@@ -202,6 +206,78 @@ def test_trace_replay_bit_for_bit():
         assert ok
 
 
+def _steps_and_lists(report):
+    lists = [v.axiom_steps for v in report.verdicts]
+    lists += [pv.steps for v in report.verdicts for pv in v.profiles]
+    return [s for steps in lists for s in steps], lists
+
+
+def test_report_holds_one_step_object_per_distinct_step():
+    for n in (42, 66, 96, 120):
+        report = prove(n, pack="extended", flags=FLAGS, axioms=("pq-half-dim",))
+        steps, lists = _steps_and_lists(report)
+        distinct = {(s.rule, s.detail, s.flags) for s in steps}
+        assert len({id(s) for s in steps}) == len(distinct) < len(steps), n
+        # every verdict owns its list, so a caller's edit stays in one profile
+        assert len({id(steps) for steps in lists}) == len(lists)
+
+
+def test_steps_are_frozen():
+    step = prove(24, pack="extended").verdicts[0].profiles[0].steps[0]
+    for name, value in (("rule", "E-search"), ("detail", "changed"), ("flags", (FREE_TRANSLATION,))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(step, name, value)
+
+
+def test_prove_matches_standalone_packs_on_every_profile():
+    # the shared steps and the base-pack memo (keyed by g, c0 and d1) against
+    # a fresh apply_base_pack + apply_extended_pack call per profile
+    profiles = 0
+    for asm in (Assumptions(), Assumptions(nonsemisimple=False, nonpointed=False)):
+        for on in product((False, True), repeat=len(FLAGS)):
+            flags = tuple(f for f, o in zip(FLAGS, on) if o)
+            for n, pack in product(range(4, 61), ("base", "extended")):
+                for v in prove(n, asm, pack, flags).verdicts:
+                    got = [(pv.profile, pv.eliminated, pv.steps, pv.assignment) for pv in v.profiles]
+                    want = []
+                    for prof in enumerate_profiles(n, asm, v.g):
+                        eliminated, steps = apply_base_pack(prof, asm)
+                        if eliminated or pack == "base":
+                            want.append((prof, eliminated, steps, None))
+                            continue
+                        ext = apply_extended_pack(prof, asm, applicable_flags(prof, flags))
+                        want.append((prof, ext.eliminated, steps + ext.steps, ext.assignment))
+                    if want:
+                        assert got == want, (n, v.g, pack, flags, asm)
+                        profiles += len(want)
+    assert profiles > 20000
+
+
+@pytest.mark.parametrize("read_size", [7, 1 << 16])
+def test_replay_streamed_agrees_with_the_whole_text(monkeypatch, read_size):
+    # the streamed comparison, refilled every 7 characters or reading the
+    # trace in one piece, against the verdict on the whole parsed text
+    monkeypatch.setattr(prover, "_READ_SIZE", read_size)
+    text = prove(42, pack="extended", flags=FLAGS).serialize()
+    middle = text.index("FEASIBLE", len(text) // 2)
+    cases = [
+        (text, True), (text.rstrip("\n"), True), (text + "\n\n", True),
+        (text[:middle] + "ELIMINATED" + text[middle + 8:], False),
+        (text.replace('"pack":"extended"', '"pack":"base"'), False),
+        (json.dumps(json.loads(text)), False),  # the same object, not canonical
+        (text[:-2] + ',"x":1}', False),
+        (text + "]", TraceError), (text[:middle], TraceError),
+    ]
+    for trace, want in cases:
+        for source in (trace, io.StringIO(trace)):
+            if want is TraceError:
+                with pytest.raises(TraceError, match="^not JSON: "):
+                    replay(source)
+            else:
+                ok, report = replay(source)
+                assert ok is want and report.n == 42
+
+
 def test_trace_writer_matches_dict_oracle():
     # the fragment writer against the dict tree it replaced, byte for byte
     for asm in (Assumptions(), Assumptions(nonsemisimple=False, nonpointed=False)):
@@ -274,7 +350,7 @@ def test_search_matches_dfs_on_every_extended_system():
                 for prof in enumerate_profiles(n, asm, g):
                     if apply_base_pack(prof, asm)[0]:
                         continue
-                    exist = no_skew_established(prof) and asm.nonsemisimple
+                    exist = prof.no_skew and asm.nonsemisimple
                     branches = [d for d, _ in prof.blocks] if exist else [None]
                     total = n - prof.c0
                     for on, witness in product(product((False, True), repeat=2), branches):
