@@ -26,6 +26,10 @@ Families and their CLI names:
 
 Prefix "dual:" (e.g. "dual:taft3") resolves to the dual of a family.
 
+A parametrised family has dimension at most MAX_FAMILY_DIM (64): kC65,
+kD33dual, taft9 and am10:17 are refused by parse_family, before any work,
+with a FamilyLimitError naming the limit.
+
 Pointed families (and k8) are data: _POINTED maps a family id to a function of
 the parameters returning a PointedDatum, the quantum-linear-space datum of the
 Andruskiewitsch-Schneider lifting method:
@@ -85,6 +89,10 @@ class AtlasConstructionError(RuntimeError):
 
 class UnknownFamilyError(ValueError):
     pass
+
+
+class FamilyLimitError(ValueError):
+    """A family parameter whose algebra is over MAX_FAMILY_DIM."""
 
 
 @dataclass(frozen=True)
@@ -444,6 +452,21 @@ _FAMILIES = {
 }
 
 
+# The largest dimension a family parameter may ask for.  The constructors
+# build tables of size dim^2 and the axiom checks take dim^3 products, so an
+# unbounded parameter is unbounded work; every shipped family is within it.
+MAX_FAMILY_DIM = 64
+
+# the dimension of each parametrised family, as a function of its parameter
+_FAMILY_DIM = {
+    "kCdual": lambda n: n,
+    "kDdual": lambda k: 2 * k,
+    "kC": lambda n: n,
+    "taft": lambda N: N * N,
+    **dict.fromkeys(("am10", "am10d", "am11", "h4xc"), lambda p: 4 * p),
+}
+
+
 def parse_family(s: str) -> FamilySpec:
     s = s.strip()
     for fid, (pattern, _) in _FAMILIES.items():
@@ -456,9 +479,17 @@ def parse_family(s: str) -> FamilySpec:
                 if fid == "dual":
                     # the inner name must be a family itself; store its canonical name
                     return FamilySpec(fid, (family_string(parse_family(param)),))
-                return FamilySpec(fid, (int(param),))
+                value = int(param)
+            except FamilyLimitError:
+                raise
             except ValueError:  # not an integer, or not a family: try the next pattern
                 continue
+            # a parameter below 1 is left to the constructor's own check
+            if value > 0 and _FAMILY_DIM[fid](value) > MAX_FAMILY_DIM:
+                raise FamilyLimitError(
+                    f"family {s!r} has dimension {_FAMILY_DIM[fid](value)}, over the "
+                    f"limit of {MAX_FAMILY_DIM} for parametrised families")
+            return FamilySpec(fid, (value,))
     raise UnknownFamilyError(f"unknown family {s!r}")
 
 

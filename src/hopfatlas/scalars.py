@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 
 class FieldOrderMismatch(ValueError):
@@ -42,7 +42,7 @@ def divisors(n: int) -> list[int]:
 
 
 def is_odd_prime(p: int) -> bool:
-    return p >= 3 and p % 2 == 1 and all(p % d for d in range(3, int(p ** 0.5) + 1, 2))
+    return p >= 3 and p % 2 == 1 and all(p % d for d in range(3, isqrt(p) + 1, 2))
 
 
 def _divide_monic(num: list[int], den: tuple[int, ...]) -> list[int]:

@@ -219,6 +219,23 @@ def _exit_code_and_error(capsys, argv):
     return exc.value.code, capsys.readouterr().err
 
 
+@pytest.mark.parametrize("family,dim", [
+    ("kC65", 65), ("kC65dual", 65), ("kD33dual", 66), ("taft9", 81),
+    ("am10:17", 68), ("am10d:17", 68), ("am11:17", 68), ("h4xc:17", 68),
+    ("am10:1" + "0" * 400 + "7", 4 * (10 ** 401 + 7)),
+])
+def test_family_over_the_dimension_limit_exit_code(monkeypatch, capsys, family, dim):
+    from hopfatlas import atlas
+
+    # refused when the name is parsed, before any construction starts
+    monkeypatch.setattr(atlas, "_build_unverified", lambda spec: pytest.fail(f"built {spec}"))
+    code, err = _exit_code_and_error(capsys, ["invariants", family])
+    assert code == 3 and err.count("\n") == 1 and "Traceback" not in err
+    assert err == (f"error: family {family!r} has dimension {dim}, "
+                   f"over the limit of {atlas.MAX_FAMILY_DIM} for parametrised families\n")
+    assert atlas.MAX_FAMILY_DIM == 64
+
+
 @pytest.mark.parametrize("malform", [
     pytest.param(lambda obj: "{not json", id="invalid-json"),
     pytest.param(lambda obj: json.dumps({"n": 24}), id="missing-keys"),

@@ -8,6 +8,7 @@ from hopfatlas.scalars import (
     FieldOrderMismatch,
     cyclotomic_polynomial,
     divisors,
+    is_odd_prime,
     totient,
 )
 
@@ -131,3 +132,10 @@ def test_constructor_and_arithmetic_refuse_floats():
         with pytest.raises(TypeError):
             op()
     assert FieldElem(4, ["1/2", Fraction(1, 3)]).to_strings() == ["1/2", "1/3"]
+
+
+def test_is_odd_prime_exact_past_float_range():
+    # 3^700 and 9 * 10^400 are past the float range, where a float square root overflows
+    assert [p for p in range(30) if is_odd_prime(p)] == [3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert not is_odd_prime(3 ** 700) and not is_odd_prime(9 * 10 ** 400 + 3)
+    assert not is_odd_prime(10007 ** 2) and is_odd_prime(10007)
