@@ -589,12 +589,21 @@ def prove(n, assumptions: Assumptions = None, pack="base", flags=(), axioms=()) 
     return EliminationReport(n, assumptions, pack, flags, tuple(sorted(axioms)), verdicts)
 
 
+_HEAD_KEYS = ("n", "assumptions", "pack", "flags", "axioms")
+
+
+def _params(obj):
+    """The parameters of a parsed trace as canonical JSON; None if missing."""
+    if isinstance(obj, dict) and all(k in obj for k in _HEAD_KEYS):
+        return json.dumps([obj[k] for k in _HEAD_KEYS], sort_keys=True)
+    return None
+
+
 def _proved(obj) -> EliminationReport:
     """prove() on the parameters of a parsed trace; TraceError if they are
     missing, of the wrong type, or rejected by prove()."""
-    keys = ("n", "assumptions", "pack", "flags", "axioms")
-    if not isinstance(obj, dict) or any(k not in obj for k in keys):
-        raise TraceError(f"not a JSON object with keys {', '.join(keys)}")
+    if _params(obj) is None:
+        raise TraceError(f"not a JSON object with keys {', '.join(_HEAD_KEYS)}")
     if type(obj["n"]) is not int:
         raise TraceError(f"n must be an integer, got {obj['n']!r}")
     for key in ("flags", "axioms"):
@@ -642,16 +651,19 @@ def replay(trace) -> tuple:
     A canonical trace is checked as it is read: its head (the keys before
     "verdicts") is parsed alone, and the fresh report's chunks are compared
     with the text piece by piece.  Any other text, and any mismatch, is read
-    whole and parsed, so that the error or the verdict is the whole text's."""
+    whole and parsed, so that the error or the verdict is the whole text's;
+    a mismatch whose whole text has the head's parameters is not re-proved."""
     if isinstance(trace, str):
         trace = io.StringIO(trace)
     text = trace.read(_READ_SIZE)
     head_end = text.find(',"verdicts":[')
+    head = report = None
     if head_end >= 0:
         try:
-            report = _proved(json.loads(text[:head_end] + "}"))
+            head = json.loads(text[:head_end] + "}")
+            report = _proved(head)
         except ValueError:  # not JSON, or a TraceError: the whole text decides
-            report = None
+            pass
         if report is not None and _matches(report.chunks(), text, trace):
             return True, report
     trace.seek(0)
@@ -660,5 +672,7 @@ def replay(trace) -> tuple:
         obj = json.loads(text)
     except ValueError as e:
         raise TraceError(f"not JSON: {e}") from None
+    if report is not None and _params(obj) == _params(head):
+        return False, report  # the report just compared, and found different
     report = _proved(obj)
     return report.serialize().rstrip("\n") == text.rstrip("\n"), report

@@ -261,21 +261,23 @@ def test_replay_streamed_agrees_with_the_whole_text(monkeypatch, read_size):
     text = prove(42, pack="extended", flags=FLAGS).serialize()
     middle = text.index("FEASIBLE", len(text) // 2)
     cases = [
-        (text, True), (text.rstrip("\n"), True), (text + "\n\n", True),
-        (text[:middle] + "ELIMINATED" + text[middle + 8:], False),
-        (text.replace('"pack":"extended"', '"pack":"base"'), False),
-        (json.dumps(json.loads(text)), False),  # the same object, not canonical
-        (text[:-2] + ',"x":1}', False),
-        (text + "]", TraceError), (text[:middle], TraceError),
+        (text, True, 42), (text.rstrip("\n"), True, 42), (text + "\n\n", True, 42),
+        (text[:middle] + "ELIMINATED" + text[middle + 8:], False, 42),
+        (text.replace('"pack":"extended"', '"pack":"base"'), False, 42),
+        (json.dumps(json.loads(text)), False, 42),  # the same object, not canonical
+        (text[:-2] + ',"x":1}', False, 42),
+        (text[:-2] + ',"n":24}', False, 24),  # the last "n" is the one JSON keeps
+        (text[:-2] + ',"n":42.0}', TraceError, "n must be an integer"),
+        (text + "]", TraceError, "not JSON: "), (text[:middle], TraceError, "not JSON: "),
     ]
-    for trace, want in cases:
+    for trace, want, n in cases:
         for source in (trace, io.StringIO(trace)):
             if want is TraceError:
-                with pytest.raises(TraceError, match="^not JSON: "):
+                with pytest.raises(TraceError, match=f"^{n}"):
                     replay(source)
             else:
                 ok, report = replay(source)
-                assert ok is want and report.n == 42
+                assert ok is want and report.n == n
 
 
 def test_trace_writer_matches_dict_oracle():
