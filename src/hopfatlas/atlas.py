@@ -94,6 +94,11 @@ class UnknownFamilyError(ValueError):
 class FamilyLimitError(ValueError):
     """A family parameter whose algebra is over MAX_FAMILY_DIM."""
 
+    def __init__(self, family, dim):
+        super().__init__(f"family {family!r} has dimension {dim}, over the "
+                         f"limit of {MAX_FAMILY_DIM} for parametrised families")
+        self.dim = dim
+
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -480,15 +485,13 @@ def parse_family(s: str) -> FamilySpec:
                     # the inner name must be a family itself; store its canonical name
                     return FamilySpec(fid, (family_string(parse_family(param)),))
                 value = int(param)
-            except FamilyLimitError:
-                raise
+            except FamilyLimitError as e:  # inside dual:, name the whole input
+                raise FamilyLimitError(s, e.dim) from None
             except ValueError:  # not an integer, or not a family: try the next pattern
                 continue
             # a parameter below 1 is left to the constructor's own check
             if value > 0 and _FAMILY_DIM[fid](value) > MAX_FAMILY_DIM:
-                raise FamilyLimitError(
-                    f"family {s!r} has dimension {_FAMILY_DIM[fid](value)}, over the "
-                    f"limit of {MAX_FAMILY_DIM} for parametrised families")
+                raise FamilyLimitError(s, _FAMILY_DIM[fid](value))
             return FamilySpec(fid, (value,))
     raise UnknownFamilyError(f"unknown family {s!r}")
 

@@ -222,6 +222,7 @@ def _exit_code_and_error(capsys, argv):
 @pytest.mark.parametrize("family,dim", [
     ("kC65", 65), ("kC65dual", 65), ("kD33dual", 66), ("taft9", 81),
     ("am10:17", 68), ("am10d:17", 68), ("am11:17", 68), ("h4xc:17", 68),
+    ("dual:kC65", 65), ("dual: dual:taft9", 81),
     ("am10:1" + "0" * 400 + "7", 4 * (10 ** 401 + 7)),
 ])
 def test_family_over_the_dimension_limit_exit_code(monkeypatch, capsys, family, dim):
