@@ -489,9 +489,9 @@ def parse_family(s: str) -> FamilySpec:
                 raise FamilyLimitError(s, e.dim) from None
             except ValueError:  # not an integer, or not a family: try the next pattern
                 continue
-            # a parameter below 1 is left to the constructor's own check
-            if value > 0 and _FAMILY_DIM[fid](value) > MAX_FAMILY_DIM:
-                raise FamilyLimitError(s, _FAMILY_DIM[fid](value))
+            dim = _FAMILY_DIM[fid](value)
+            if value > 0 and dim > MAX_FAMILY_DIM:  # below 1, the constructor's check speaks
+                raise FamilyLimitError(s, dim)
             return FamilySpec(fid, (value,))
     raise UnknownFamilyError(f"unknown family {s!r}")
 

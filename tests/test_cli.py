@@ -255,6 +255,16 @@ def test_prove_replay_malformed_trace_exit_code(tmp_path, capsys, malform):
     assert err.startswith(f"error: {trace}: malformed trace: ")
 
 
+@pytest.mark.parametrize("content", [None, b'{"n": 24, "x": "\xff"}'], ids=["missing", "not-utf8"])
+def test_prove_replay_unreadable_trace_exit_code(tmp_path, capsys, content):
+    trace = tmp_path / "t.json"
+    if content is not None:
+        trace.write_bytes(content)
+    code, err = _exit_code_and_error(capsys, ["prove", "--replay", str(trace)])
+    assert code == 4 and err.count("\n") == 1
+    assert err.startswith(f"error: cannot read {trace}: ")
+
+
 def _with_first_g_entry(obj, index, **coeff):
     images = dict(obj["generator_images"])
     _, first = images["g"][0]
