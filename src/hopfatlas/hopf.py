@@ -148,9 +148,6 @@ class FinHopf:
     def s(self, u: dict) -> dict:
         return self.antipode.apply(u)
 
-    def mul2(self, t1: dict, t2: dict) -> dict:
-        return mul2(self.mult, t1, t2)
-
     def tensor_elem(self, u: dict, v: dict) -> dict:
         return {(i, j): c for i, a in u.items() for j, b in v.items() if (c := a * b)}
 

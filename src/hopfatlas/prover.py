@@ -155,6 +155,22 @@ class CoradicalProfile:
         return f"g={self.g} blocks={{{inner}}}"
 
 
+_set = object.__setattr__
+
+
+def _profile(n, g, blocks, c0, no_skew):
+    """CoradicalProfile(n, g, blocks) with c0 and no_skew as given, not
+    recomputed: enumerate_profiles' path, which holds both already.  The
+    public constructor, which computes them, is its oracle in the tests."""
+    p = object.__new__(CoradicalProfile)
+    _set(p, "n", n)
+    _set(p, "g", g)
+    _set(p, "blocks", blocks)
+    _set(p, "c0", c0)
+    _set(p, "no_skew", no_skew)
+    return p
+
+
 @dataclass(frozen=True, slots=True)
 class RuleStep:
     """One rule application; frozen, because a prove() call shares one
@@ -170,14 +186,25 @@ class RuleStep:
 
 class _Call:
     """What one prove() call shares between its profiles: its flags, parsed
-    once, one RuleStep per distinct (rule, detail, flags), and one string per
-    distinct variable name (the keys of the assignments)."""
-    __slots__ = ("free_translation", "orbit", "_steps", "_names")
+    once, one RuleStep per distinct (rule, detail, flags), one string per
+    distinct variable name (the keys of the assignments), and the extended
+    pack's verdicts for the current g."""
+    __slots__ = ("free_translation", "orbit", "_steps", "_names", "_g", "_extended")
 
     def __init__(self, flags=()):
         self.free_translation, self.orbit = _parse_flags(flags)
         self._steps = {}
         self._names = {}
+        self._g = None
+        self._extended = {}
+
+    def extended(self, g):
+        """The extended-pack memo for g: (c0, block key) -> (eliminated,
+        steps, assignment).  Each verdict in it is one g's, so a new g starts
+        it afresh, which also bounds it to one g's verdicts."""
+        if g != self._g:
+            self._g, self._extended = g, {}
+        return self._extended
 
     def name(self, text):
         return self._names.setdefault(text, text)
@@ -211,6 +238,7 @@ class GVerdict:
 
 
 _CITATIONS_JSON = {rule: _quote(text) for rule, text in CITATIONS.items()}
+_SERIALIZE_BATCH = 1 << 20  # characters
 
 
 @dataclass
@@ -271,7 +299,20 @@ class EliminationReport:
         yield "]}\n"
 
     def serialize(self) -> str:
-        return "".join(self.chunks())
+        # The text grows by a batch of chunks at a time.  "".join over all
+        # the chunks would hold every chunk beside the joined text, twice the
+        # trace at the peak; CPython extends the text in place instead.  It
+        # cannot under a profiler or tracer on 3.11, and then each batch, not
+        # each chunk, copies the text so far.
+        text, batch, size = "", [], 0
+        for chunk in self.chunks():
+            batch.append(chunk)
+            size += len(chunk)
+            if size >= _SERIALIZE_BATCH:
+                text += "".join(batch)
+                batch, size = [], 0
+        text += "".join(batch)
+        return text
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +347,12 @@ def enumerate_profiles(n, assumptions: Assumptions, g):
     if n % g:
         raise ProverError(f"{g} does not divide {n}")
     out = []
+    budget = n - 1 if assumptions.nonsemisimple else n
+    no_skew = gcd(g, n // g) == 1
 
     def extend(d, blocks, left):
         if blocks or not assumptions.nonpointed:
-            out.append(CoradicalProfile(n, g, tuple(blocks)))
+            out.append(_profile(n, g, tuple(blocks), budget - left, no_skew))
         dd = d
         while dd * dd <= left:
             step = g // gcd(g, dd * dd)
@@ -321,7 +364,7 @@ def enumerate_profiles(n, assumptions: Assumptions, g):
                 m += step
             dd += 1
 
-    extend(2, [], (n - 1 if assumptions.nonsemisimple else n) - g)
+    extend(2, [], budget - g)
     return out
 
 
@@ -469,8 +512,14 @@ def apply_extended_pack(profile: CoradicalProfile, assumptions: Assumptions, fla
     branch admits a solution.  Flags naming a block dimension absent from the
     profile are an error (use applicable_flags to filter upstream).  prove()
     passes its `call` instead, which holds its flags, parsed once (a flag on
-    a dimension absent from the profile then has no effect), and the step
-    table the steps come from; `flags` is then not read.
+    a dimension absent from the profile then has no effect), the step table
+    the steps come from and its verdicts so far; `flags` is then not read.
+
+    The verdict reads only g, c0, the block dimensions, the multiplicity of
+    each block whose dimension a full-orbit flag names, and what is fixed
+    for a call (n, the flags and the assumptions), so a call computes it
+    once per distinct input.  Each ProfileVerdict gets a step list and an
+    assignment of its own.
     """
     if call is None:
         call = _Call(tuple(flags))
@@ -478,6 +527,19 @@ def apply_extended_pack(profile: CoradicalProfile, assumptions: Assumptions, fla
         for f, d in call.orbit.items():
             if d not in dims:
                 raise ProverError(f"flag {f!r} references a block dimension absent from the profile")
+    orbit = call.orbit.values()
+    key = (profile.c0, tuple((d, m if d in orbit else None) for d, m in profile.blocks))
+    memo = call.extended(profile.g)
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = _extended_verdict(profile, assumptions, call)
+    eliminated, steps, assignment = hit
+    return ProfileVerdict(profile, eliminated, list(steps),
+                          None if assignment is None else dict(assignment))
+
+
+def _extended_verdict(profile, assumptions, call):
+    """apply_extended_pack's (eliminated, steps, assignment), computed."""
     step = call.step
     exist = profile.no_skew and assumptions.nonsemisimple
     steps = []
@@ -518,12 +580,12 @@ def apply_extended_pack(profile: CoradicalProfile, assumptions: Assumptions, fla
                 "E-search",
                 f"feasible: remaining {total} realized (witness class {witness})",
             ))
-            return ProfileVerdict(profile, False, steps, assignment=sol)
+            return False, tuple(steps), sol
     steps.append(step(
         "E-search",
         f"no branch admits a nonnegative solution for remaining {total}",
     ))
-    return ProfileVerdict(profile, True, steps)
+    return True, tuple(steps), None
 
 
 # ---------------------------------------------------------------------------
@@ -534,8 +596,9 @@ def prove(n, assumptions: Assumptions = None, pack="base", flags=(), axioms=()) 
     """Per divisor g of n: ELIMINATED (all profiles die, or an enabled axiom
     applies) or SURVIVING with feasible profiles and example assignments.
 
-    Each distinct step is one shared RuleStep, and the base pack runs once per
-    distinct (g, c0, d1); every ProfileVerdict still gets a list of its own."""
+    Each distinct step is one shared RuleStep, the base pack runs once per
+    distinct (g, c0, d1) and the extended pack once per distinct input (see
+    apply_extended_pack); every ProfileVerdict still gets a list of its own."""
     if assumptions is None:
         assumptions = Assumptions()
     if pack not in ("base", "extended"):

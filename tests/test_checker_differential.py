@@ -19,6 +19,7 @@ from hopfatlas.hopf import (
     FinHopf,
     Report,
     _check_shapes,
+    mul2,
     verify_antipode,
     verify_bialgebra,
     verify_hopf_morphism,
@@ -86,7 +87,7 @@ def reference_bialgebra(h: FinHopf) -> Report:
         di = h.comult.get(i, {})
         for j in range(n):
             prod = h.mul(h.basis_elem(i), h.basis_elem(j))
-            if h.delta(prod) != h.mul2(di, h.comult.get(j, {})):
+            if h.delta(prod) != mul2(h.mult, di, h.comult.get(j, {})):
                 rep.fail("comult-algebra-map", (i, j))
             lhs = h.eps(prod)
             rhs = h.eps(h.basis_elem(i)) * h.eps(h.basis_elem(j))

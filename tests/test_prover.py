@@ -81,6 +81,16 @@ def test_enumerate_emits_strictly_increasing_blocks():
                 assert all(a < b for a, b in zip(blocks, blocks[1:])), (n, g, asm)
 
 
+def test_enumerate_hands_over_the_fields_the_constructor_computes():
+    # c0 and no_skew are compare=False, so profile equality does not see them
+    for asm in (Assumptions(), Assumptions(nonsemisimple=False, nonpointed=False)):
+        for n in (*range(4, 101), 143, 200):
+            for g in divisors(n):
+                for p in enumerate_profiles(n, asm, g):
+                    q = CoradicalProfile(n, g, p.blocks)
+                    assert (p.c0, p.no_skew) == (q.c0, q.no_skew), (n, g, p.blocks, asm)
+
+
 def test_enumerate_cosemisimple_pointed_excluded():
     assert enumerate_profiles(12, Assumptions(), g=12) == []
 
@@ -227,6 +237,23 @@ def test_steps_are_frozen():
     for name, value in (("rule", "E-search"), ("detail", "changed"), ("flags", (FREE_TRANSLATION,))):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(step, name, value)
+
+
+def test_extended_verdicts_with_one_memo_key_do_not_alias():
+    # two FEASIBLE profiles of n = 40, g = 2 with the same c0 = 38 and block
+    # dimensions (2, 4) share one extended verdict inside prove()
+    report = prove(40, pack="extended")
+    text = report.serialize()
+    first, second = [pv for pv in report.verdict_for(2).profiles
+                     if pv.profile.c0 == 38 and [d for d, _ in pv.profile.blocks] == [2, 4]]
+    assert first.profile != second.profile and first.assignment == second.assignment
+    steps, assignment = list(second.steps), dict(second.assignment)
+    first.steps.append(first.steps[0])
+    first.steps[0] = RuleStep("E-search", "changed")
+    first.assignment["y_GG"] += 2
+    first.assignment["changed"] = 0
+    assert (second.steps, second.assignment) == (steps, assignment)
+    assert prove(40, pack="extended").serialize() == text
 
 
 def test_prove_matches_standalone_packs_on_every_profile():
