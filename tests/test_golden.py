@@ -1,4 +1,4 @@
-"""Golden digests of CLI output: export/dual files, invariants and iso stdout.
+"""Golden digests of CLI output: algebra files, prover traces and verb stdout.
 
 The SHA-256 digests in golden_digests.json pin the byte-exact output of
 `hopfatlas export` and `hopfatlas dual` for every family in list_families(),
@@ -9,7 +9,9 @@ of the algebra file of `tensor_hopf` on a few pairs, and of `hopfatlas prove`
 (stdout and the --trace file, a pair of digests per key) on a few dimensions
 under the base pack, the extended pack, and the extended pack with every flag
 and axiom, and on the two largest pinned dimensions, 160 and 200, under the
-base and the extended pack.
+base and the extended pack. They also pin the stdout of `hopfatlas status`
+on every dimension 2..100, of `hopfatlas table` in both formats, and of
+`hopfatlas suite`.
 Regenerate them (only when an output change is intended) with
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden_digests.json
@@ -49,6 +51,8 @@ PROVE_SETTINGS = (["--pack", "base"], ["--pack", "extended"],
                    "--axiom", "pq-half-dim"])
 PROVE_LARGE_DIMS = (160, 200)
 PROVE_LARGE_SETTINGS = (["--pack", "base"], ["--pack", "extended"])
+STATUS_DIMS = range(2, 101)
+TABLE_FORMATS = ("md", "csv")
 
 
 def cases():
@@ -72,6 +76,11 @@ def cases():
             for setting in settings:
                 argv = ["prove", str(n), *setting]
                 out.append((" ".join(argv), argv + ["--trace"]))
+    for n in STATUS_DIMS:
+        out.append((f"status {n}", ["status", str(n)]))
+    for fmt in TABLE_FORMATS:
+        out.append((f"table --format {fmt}", ["table", "--format", fmt]))
+    out.append(("suite", ["suite"]))
     return out
 
 
