@@ -24,7 +24,9 @@ Families and their CLI names:
     am11:{p}     dim 4p, x^2 = g^2 - 1, skew partner g
     h4xc:{p}     dim 4p, x^2 = 0, skew partner g^p (tensor of h4 by kC_p)
 
-Prefix "dual:" (e.g. "dual:taft3") resolves to the dual of a family.
+Prefix "dual:" (e.g. "dual:taft3") resolves to the dual of a family.  kC{n},
+kC{n}dual and kD{k}dual are built straight from groups.AbelianGroup and
+groups.DihedralGroup, whose constructors refuse n < 1 and k < 3.
 
 A parametrised family has dimension at most MAX_FAMILY_DIM (64): kC65,
 kD33dual, taft9 and am10:17 are refused by parse_family, before any work,
@@ -69,7 +71,7 @@ from itertools import product
 from math import lcm
 
 from . import invariants as inv
-from .groups import FiniteGroup, parse_group
+from .groups import AbelianGroup, DihedralGroup, FiniteGroup
 from .hopf import (
     FinHopf, LinearMap, Report, hopf_dual, mul, mul2, tensor_hopf, verify_antipode,
     verify_bialgebra, verify_hopf_morphism,
@@ -315,8 +317,8 @@ def _build_pointed(datum: PointedDatum, fam: str) -> FinHopf:
 # group algebras and their duals
 # ---------------------------------------------------------------------------
 
-def group_algebra(group: FiniteGroup, order=None, family=None) -> FinHopf:
-    """kG: basis the group elements in the group's frozen element order."""
+def group_algebra(group: FiniteGroup, order=None) -> FinHopf:
+    """kG, family k<group name>: basis the group elements in their frozen order."""
     n = group.order
     field_order = order or max(group.exponent, 1)
     one = FieldElem.one(field_order)
@@ -341,7 +343,7 @@ def group_algebra(group: FiniteGroup, order=None, family=None) -> FinHopf:
         for rep in group.two_dim_irreps(field_order)
     ]
     meta = {
-        "family": family or f"k[{group.name}]",
+        "family": f"k{group.name}",
         "basis_labels": list(group.labels),
         "claimed_grouplikes": [{i: one} for i in range(n)],
         "claimed_generators": {},
@@ -349,17 +351,11 @@ def group_algebra(group: FiniteGroup, order=None, family=None) -> FinHopf:
         "dual_grouplikes": dual_groups,
         "dual_matrix_bases": dual_blocks,
     }
-    return FinHopf(family or f"k[{group.name}]", n, field_order, mult, unit, comult, counit, anti, meta)
-
-
-def _cyclic(fam, n):
-    if n < 1:
-        raise ValueError("cyclic order must be >= 1")
-    return group_algebra(parse_group(f"C{n}"), family=fam)
+    return FinHopf(f"k{group.name}", n, field_order, mult, unit, comult, counit, anti, meta)
 
 
 def _group_dual(fam, group, order=None):
-    d = hopf_dual(group_algebra(parse_group(group), order=order, family=f"k{group}"))
+    d = hopf_dual(group_algebra(group, order=order))
     d.name = fam
     d.metadata["family"] = fam
     return d
@@ -450,9 +446,9 @@ _POINTED = {
 # in this order, so "kC{}dual" comes before "kC{}".
 _FAMILIES = {
     "dual": ("dual:{}", _dual_family),
-    "kCdual": ("kC{}dual", lambda fam, n: _group_dual(fam, f"C{n}")),
-    "kDdual": ("kD{}dual", lambda fam, k: _group_dual(fam, f"D{k}", order=k)),
-    "kC": ("kC{}", _cyclic),
+    "kCdual": ("kC{}dual", lambda fam, n: _group_dual(fam, AbelianGroup((n,)))),
+    "kDdual": ("kD{}dual", lambda fam, k: _group_dual(fam, DihedralGroup(k), order=k)),
+    "kC": ("kC{}", lambda fam, n: group_algebra(AbelianGroup((n,)))),
     **_POINTED,
 }
 
@@ -672,7 +668,7 @@ def builtin_witnesses():
 
     return [
         IsoWitness(rec["source"], rec["target"], {
-            gen: {int(i): FieldElem.from_strings(rec["N"], coords) for i, coords in vec.items()}
+            gen: {int(i): FieldElem(rec["N"], coords) for i, coords in vec.items()}
             for gen, vec in rec["images"].items()
         })
         for rec in _WITNESS_DATA

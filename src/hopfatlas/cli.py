@@ -115,8 +115,7 @@ def _write(path, chunks):
         with open(path, "w") as fh:
             fh.writelines(chunks)
     except OSError as e:
-        print(f"error: cannot write {path}: {e}", file=sys.stderr)
-        sys.exit(EXIT_IO)
+        _exit(EXIT_IO, f"cannot write {path}: {e}")
 
 
 def _read(path):
@@ -124,8 +123,7 @@ def _read(path):
         with open(path) as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as e:
-        print(f"error: cannot read {path}: {e}", file=sys.stderr)
-        sys.exit(EXIT_IO)
+        _exit(EXIT_IO, f"cannot read {path}: {e}")
 
 
 def _parse_grid(spec, order):

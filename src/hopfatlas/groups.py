@@ -7,7 +7,6 @@ group algebras and their duals.
 
 from __future__ import annotations
 
-import re
 from math import lcm
 
 from .scalars import FieldElem
@@ -50,6 +49,8 @@ class FiniteGroup:
 class AbelianGroup(FiniteGroup):
     def __init__(self, orders):
         self.orders = tuple(orders)
+        if any(n < 1 for n in self.orders):
+            raise ValueError("cyclic order must be >= 1")
         elements = [()]
         for n in self.orders:
             elements = [e + (a,) for e in elements for a in range(n)]
@@ -81,6 +82,8 @@ class DihedralGroup(FiniteGroup):
     """D_k of order 2k: elements (i, f) standing for r^i s^f."""
 
     def __init__(self, k):
+        if k < 3:
+            raise ValueError(f"dihedral group needs k >= 3, got {k}")
         self.k = k
         elements = [(i, f) for f in (0, 1) for i in range(k)]
 
@@ -124,27 +127,3 @@ class DihedralGroup(FiniteGroup):
                     rep[(i, f)] = ((zero, a), (b, zero))
             reps.append(rep)
         return reps
-
-
-_CYCLIC_RE = re.compile(r"^C(\d+)$")
-_DIHEDRAL_RE = re.compile(r"^D(\d+)$")
-
-
-def parse_group(descriptor: str) -> FiniteGroup:
-    """Parse "C6", "C2xC2", "D5" into a FiniteGroup."""
-    m = _DIHEDRAL_RE.match(descriptor)
-    if m:
-        k = int(m.group(1))
-        if k < 3:
-            raise ValueError(f"dihedral descriptor needs k >= 3, got {descriptor}")
-        return DihedralGroup(k)
-    parts = descriptor.split("x")
-    orders = []
-    for p in parts:
-        m = _CYCLIC_RE.match(p)
-        if not m:
-            raise ValueError(f"bad group descriptor {descriptor!r}")
-        orders.append(int(m.group(1)))
-    if not orders or any(n < 1 for n in orders):
-        raise ValueError(f"bad group descriptor {descriptor!r}")
-    return AbelianGroup(orders)

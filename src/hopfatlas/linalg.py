@@ -100,7 +100,7 @@ class Echelon:
 class Subspace:
     """Exact subspace of k^ambient with canonical RREF basis."""
 
-    __slots__ = ("order", "ambient", "basis", "_pivots")
+    __slots__ = ("order", "ambient", "basis")
 
     def __init__(self, order: int, ambient: int, canonical_rows):
         self.order = order
@@ -109,7 +109,6 @@ class Subspace:
         for r in canonical_rows:
             rows.append(tuple(sorted(((i, c) for i, c in r.items()), key=lambda t: t[0])))
         self.basis = tuple(rows)
-        self._pivots = tuple(r[0][0] for r in rows)
 
     @classmethod
     def from_vectors(cls, order: int, ambient: int, vectors) -> "Subspace":
@@ -147,23 +146,6 @@ class Subspace:
         for r in other.basis:
             ech.insert(dict(r))
         return Subspace(self.order, self.ambient, ech.canonical_rows())
-
-    def meet(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus: echelonize rows [v|v] for v in self, [w|0] for w in other."""
-        assert self.ambient == other.ambient
-        n = self.ambient
-        ech = Echelon(self.order, 2 * n)
-        for r in self.basis:
-            row = dict(r)
-            row.update({i + n: c for i, c in r})
-            ech.insert(row)
-        for r in other.basis:
-            ech.insert(dict(r))
-        out = []
-        for p, row in ech.rows.items():
-            if p >= n:
-                out.append({i - n: c for i, c in row.items()})
-        return Subspace.from_vectors(self.order, n, out)
 
     def __eq__(self, other):
         return (

@@ -342,16 +342,12 @@ class FieldElem:
         """Each coordinate in lowest terms as "p/q"."""
         return [f"{c.numerator}/{c.denominator}" for c in self.coords]
 
-    @classmethod
-    def from_strings(cls, order: int, strings) -> "FieldElem":
-        return cls(order, strings)
-
     def to_json(self) -> dict:
         return {"N": self.order, "coords": self.to_strings()}
 
     @classmethod
     def from_json(cls, obj) -> "FieldElem":
-        return cls.from_strings(obj["N"], obj["coords"])
+        return cls(obj["N"], obj["coords"])
 
 
 # Arithmetic builds its results here, bypassing the checking constructor.

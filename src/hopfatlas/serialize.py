@@ -67,15 +67,6 @@ def _dense_json(vec: dict, dim: int, order: int):
     return [vec.get(i, zero).to_json() for i in range(dim)]
 
 
-def _dense_load(lst):
-    out = {}
-    for i, cj in enumerate(lst):
-        c = FieldElem.from_json(cj)
-        if c:
-            out[i] = c
-    return out
-
-
 def algebra_to_json(h: FinHopf) -> dict:
     mult = []
     for (i, j), row in h.mult.items():
@@ -128,13 +119,17 @@ def algebra_from_json(obj) -> FinHopf:
     dim = obj["dim"]
     mult = {}
     for i, j, k, cj in obj["mult"]:
-        mult.setdefault((i, j), {})[k] = FieldElem.from_json(cj)
+        mult.setdefault((i, j), {})[k] = _coeff_load(cj, order)
     comult = {}
     for i, j, k, cj in obj["comult"]:
-        comult.setdefault(i, {})[(j, k)] = FieldElem.from_json(cj)
+        comult.setdefault(i, {})[(j, k)] = _coeff_load(cj, order)
     cols = [dict() for _ in range(dim)]
     for i, j, cj in obj["antipode"]:
-        cols[j][i] = FieldElem.from_json(cj)
+        cols[j][i] = _coeff_load(cj, order)
+    dense = {}
+    for key in ("unit", "counit"):
+        coeffs = enumerate(_coeff_load(cj, order) for cj in obj[key])
+        dense[key] = {i: c for i, c in coeffs if c}
     meta = {}
     raw = obj.get("metadata", {})
     for key in _META_PLAIN_KEYS:
@@ -154,8 +149,8 @@ def algebra_from_json(obj) -> FinHopf:
                 for block in raw[key]
             ]
     return FinHopf(
-        obj["name"], dim, order, mult, _dense_load(obj["unit"]), comult,
-        _dense_load(obj["counit"]), LinearMap(order, dim, dim, cols), meta,
+        obj["name"], dim, order, mult, dense["unit"], comult, dense["counit"],
+        LinearMap(order, dim, dim, cols), meta,
     )
 
 

@@ -2,15 +2,17 @@
 
 The knowledge base is a JSON file of shape-pattern rows with per-column
 status cells and explicit-dimension overrides; it never computes mathematics.
-Every dimension in range matches exactly one pattern; explicit dims override
-the pattern default.  crosscheck_with_prover confirms the recorded grouplike
-orders against the feasibility prover without auto-correcting anything.
+Every dimension in range matches exactly one pattern, looked up in one table
+by the exponents of its factorization; explicit dims override the pattern
+default.  crosscheck_with_prover confirms the recorded grouplike orders
+against the feasibility prover without auto-correcting anything.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 
 from .prover import Assumptions, prove
@@ -24,23 +26,16 @@ def _load(name):
         return json.load(fh)
 
 
-_KB = None
-_BIB = None
-
-
+@cache
 def knowledge_base():
-    global _KB
-    if _KB is None:
-        _KB = _load("table1.json")
-        _validate(_KB)
-    return _KB
+    kb = _load("table1.json")
+    _validate(kb)
+    return kb
 
 
+@cache
 def bibliography():
-    global _BIB
-    if _BIB is None:
-        _BIB = _load("bibliography.json")
-    return _BIB
+    return _load("bibliography.json")
 
 
 def factor(n):
@@ -56,44 +51,26 @@ def factor(n):
     return out
 
 
+# the shape pattern of each exponent signature, the prime exponents of n sorted
+# in descending order; (1, 1) and (2, 1) also depend on whether 2 divides n once
+_PATTERNS = {
+    (1,): "p", (2,): "p2", (3,): "p3", (4,): "p4", (5,): "p5", (6,): "p6",
+    (1, 1, 1): "pqr", (3, 1): "p3q", (2, 2): "p2q2", (2, 1, 1): "p2qr", (3, 2): "p3q2",
+    (4, 1): "p4q", (5, 1): "p5q",
+}
+
+
 def match_pattern(n: int) -> str:
     """The unique shape pattern for 2 <= n <= 100."""
     if not (2 <= n <= 100):
         raise ValueError(f"dimension must be in [2, 100], got {n}")
     f = factor(n)
-    exps = sorted(f.values(), reverse=True)
-    if exps == [1]:
-        return "p"
-    if exps == [1, 1]:
+    exps = tuple(sorted(f.values(), reverse=True))
+    if exps == (1, 1):
         return "2p" if 2 in f else "pq"
-    if exps == [2]:
-        return "p2"
-    if exps == [3]:
-        return "p3"
-    if exps == [2, 1]:
-        single = [p for p, e in f.items() if e == 1][0]
-        return "2p2" if single == 2 else "pq2"
-    if exps == [1, 1, 1]:
-        return "pqr"
-    if exps == [4]:
-        return "p4"
-    if exps == [3, 1]:
-        return "p3q"
-    if exps == [2, 2]:
-        return "p2q2"
-    if exps == [2, 1, 1]:
-        return "p2qr"
-    if exps == [3, 2]:
-        return "p3q2"
-    if exps == [5]:
-        return "p5"
-    if exps == [6]:
-        return "p6"
-    if exps == [4, 1]:
-        return "p4q"
-    if exps == [5, 1]:
-        return "p5q"
-    raise ValueError(f"no pattern for factorization {f} of {n}")
+    if exps == (2, 1):
+        return "2p2" if f.get(2) == 1 else "pq2"
+    return _PATTERNS[exps]
 
 
 def _pattern_row(pattern_id):
@@ -141,6 +118,7 @@ def status(n: int) -> dict:
 def _validate(kb):
     bib = bibliography()
     seen = set()
+    cited = []  # (where, citation keys), checked against bib at the end
     for row in kb["patterns"]:
         if row["id"] in seen:
             raise ValueError(f"duplicate pattern {row['id']}")
@@ -151,23 +129,20 @@ def _validate(kb):
                 raise ValueError(f"{row['id']}/{col}: bad status {cell.get('status')!r}")
             if not cell.get("citations"):
                 raise ValueError(f"{row['id']}/{col}: cell without citations")
-            for key in cell.get("citations", []):
-                if key not in bib:
-                    raise ValueError(f"{row['id']}/{col}: unknown citation {key!r}")
-            for keys in cell.get("dim_citations", {}).values():
-                for key in keys:
-                    if key not in bib:
-                        raise ValueError(f"{row['id']}/{col}: unknown citation {key!r}")
+            where = f"{row['id']}/{col}"
+            cited.append((where, cell["citations"]))
+            cited += [(where, keys) for keys in cell.get("dim_citations", {}).values()]
             overlap = set(cell.get("open_dims", [])) & set(cell.get("completed_dims", []))
             overlap |= set(cell.get("open_dims", [])) & set(cell.get("none_dims", []))
             if overlap:
                 raise ValueError(f"{row['id']}/{col}: dims both open and resolved: {overlap}")
     for n in range(2, 101):
         match_pattern(n)
-    for key in kb["grouplike_notes"]:
-        for c in kb["grouplike_notes"][key]["citations"]:
-            if c not in bib:
-                raise ValueError(f"grouplike note {key}: unknown citation {c!r}")
+    cited += [(f"grouplike note {n}", note["citations"]) for n, note in kb["grouplike_notes"].items()]
+    for where, keys in cited:
+        for key in keys:
+            if key not in bib:
+                raise ValueError(f"{where}: unknown citation {key!r}")
 
 
 def _cell_text(cell: dict) -> str:

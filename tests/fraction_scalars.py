@@ -318,16 +318,12 @@ class FieldElem:
     def to_strings(self) -> list[str]:
         return [f"{c.numerator}/{c.denominator}" for c in self.coords]
 
-    @classmethod
-    def from_strings(cls, order: int, strings) -> "FieldElem":
-        return cls(order, [Fraction(s) for s in strings])
-
     def to_json(self) -> dict:
         return {"N": self.order, "coords": self.to_strings()}
 
     @classmethod
     def from_json(cls, obj) -> "FieldElem":
-        return cls.from_strings(obj["N"], obj["coords"])
+        return cls(obj["N"], [Fraction(s) for s in obj["coords"]])
 
 
 def _poly_divmod(a: list[Fraction], b: list[Fraction]):

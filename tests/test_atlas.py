@@ -1,3 +1,6 @@
+import copy
+import json
+
 import pytest
 
 from hopfatlas.atlas import (
@@ -9,10 +12,15 @@ from hopfatlas.atlas import (
     parse_family,
     sub_hopf_claims,
 )
-from hopfatlas.groups import parse_group
 from hopfatlas.hopf import hopf_dual, verify_hopf_morphism
 from hopfatlas.linalg import Subspace
-from hopfatlas.serialize import dump_algebra, dump_witness, load_algebra, load_witness
+from hopfatlas.serialize import (
+    FormatError,
+    dump_algebra,
+    dump_witness,
+    load_algebra,
+    load_witness,
+)
 
 
 def test_dims_match():
@@ -111,14 +119,6 @@ def test_matrix_basis_claims():
                     assert h.delta(block[u][v]) == expect
 
 
-def test_group_descriptors():
-    assert parse_group("C6").order == 6
-    assert parse_group("C2xC2").order == 4
-    assert parse_group("D5").order == 10
-    with pytest.raises(ValueError):
-        parse_group("Q8")
-
-
 def test_serialization_round_trip_byte_identical():
     for fam in ("h4", "taft3", "k8", "kD3dual", "am10d:3"):
         h = build(fam)
@@ -130,6 +130,21 @@ def test_serialization_round_trip_byte_identical():
 
         assert verify_bialgebra(loaded).ok and verify_antipode(loaded).ok
         assert equal_tensors(loaded, h)
+    for fam in list_families():
+        text = dump_algebra(build(fam))
+        assert dump_algebra(load_algebra(text)) == text, fam
+
+
+def test_load_algebra_checks_every_coefficient():
+    # structure-constant coefficients go through the same checked reader as metadata
+    obj = json.loads(dump_algebra(build("taft4")))
+    wrong_order = copy.deepcopy(obj)
+    wrong_order["mult"][0][3]["N"] = 3
+    no_coords = copy.deepcopy(obj)
+    del no_coords["unit"][0]["coords"]
+    for bad in (wrong_order, no_coords):
+        with pytest.raises(FormatError):
+            load_algebra(json.dumps(bad))
 
 
 def test_witness_files_round_trip():

@@ -237,6 +237,17 @@ def test_family_over_the_dimension_limit_exit_code(monkeypatch, capsys, family, 
     assert atlas.MAX_FAMILY_DIM == 64
 
 
+@pytest.mark.parametrize("family,message", [
+    ("kC0", "cyclic order must be >= 1"), ("kC-3", "cyclic order must be >= 1"),
+    ("kC0dual", "cyclic order must be >= 1"), ("kC-3dual", "cyclic order must be >= 1"),
+    ("kD2dual", "dihedral group needs k >= 3, got 2"),
+    ("kD-1dual", "dihedral group needs k >= 3, got -1"),
+])
+def test_group_family_parameter_out_of_range_exit_code(capsys, family, message):
+    code, err = _exit_code_and_error(capsys, ["invariants", family])
+    assert code == 3 and err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("malform", [
     pytest.param(lambda obj: "{not json", id="invalid-json"),
     pytest.param(lambda obj: json.dumps({"n": 24}), id="missing-keys"),

@@ -123,7 +123,7 @@ def test_constructor_and_arithmetic_refuse_floats():
     with pytest.raises(TypeError, match="inexact float"):
         FieldElem(4, [0.5, 0])
     with pytest.raises(TypeError, match="inexact float"):
-        FieldElem.from_strings(4, ["1/2", 0.25])
+        FieldElem.from_json({"N": 4, "coords": ["1/2", 0.25]})
     with pytest.raises(TypeError, match="inexact float"):
         FieldElem.from_rational(0.5, 4)
     z = FieldElem.zeta(4)

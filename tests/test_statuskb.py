@@ -1,7 +1,10 @@
+import copy
+
 import pytest
 
 from hopfatlas.statuskb import (
     COLUMNS,
+    _validate,
     bibliography,
     crosscheck_with_prover,
     knowledge_base,
@@ -90,3 +93,17 @@ def test_crosscheck():
         assert not rep.vacuous and rep.ok
         assert set(rep.surviving) <= set(rep.allowed)
     assert crosscheck_with_prover(31).vacuous
+
+
+@pytest.mark.parametrize("place", ["cell", "dim_citations", "grouplike_note"])
+def test_validate_refuses_unknown_citations(place):
+    kb = copy.deepcopy(knowledge_base())
+    cell = kb["patterns"][0]["cells"]["other"]
+    if place == "cell":
+        cell["citations"].append("nosuchkey")
+    elif place == "dim_citations":
+        cell["dim_citations"] = {"2": ["nosuchkey"]}
+    else:
+        next(iter(kb["grouplike_notes"].values()))["citations"].append("nosuchkey")
+    with pytest.raises(ValueError, match="unknown citation 'nosuchkey'"):
+        _validate(kb)
