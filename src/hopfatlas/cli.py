@@ -185,9 +185,8 @@ def cmd_coinv(args):
     elif args.surjection in table:
         entry = table[args.surjection]
     else:
-        print(f"error: unknown surjection {args.surjection!r}; shipped: "
-              + ", ".join(sorted(table)) + ", id:<family>", file=sys.stderr)
-        return EXIT_BAD_PARAMETER
+        _exit(EXIT_BAD_PARAMETER, f"unknown surjection {args.surjection!r}; shipped: "
+                                  + ", ".join(sorted(table)) + ", id:<family>")
     big, small, pi = entry
     if not verify_hopf_morphism(pi, big, small).ok:
         print("FAIL: not a Hopf algebra map")
@@ -217,8 +216,7 @@ def cmd_prove(args):
     try:
         report = prove(args.dim, assumptions, args.pack, flags, tuple(args.axiom))
     except ProverError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BAD_PARAMETER
+        _exit(EXIT_BAD_PARAMETER, e)
     elim = []
     for v in report.verdicts:
         if v.eliminated:
@@ -245,8 +243,7 @@ def cmd_prove(args):
 
 def cmd_status(args):
     if not (2 <= args.dim <= 100):
-        print("error: status covers dimensions 2..100", file=sys.stderr)
-        return EXIT_BAD_PARAMETER
+        _exit(EXIT_BAD_PARAMETER, "status covers dimensions 2..100")
     st = status(args.dim)
     print(f"dim={st['dim']} pattern={st['pattern']}")
     for col in ("semisimple", "pointed", "chevalley", "other"):

@@ -96,7 +96,7 @@ def quotient_algebra(mult, dim, order, ideal: Subspace):
 
 def ideal_closure(mult, dim, order, generators) -> Subspace:
     """Smallest two-sided ideal containing the generators."""
-    ech = Echelon(order, dim)
+    ech = Echelon()
     queue = []
     for gvec in generators:
         if ech.insert(dict(gvec)):

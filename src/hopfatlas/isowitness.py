@@ -13,6 +13,7 @@ so the first witness found is reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import lcm
 
 from . import invariants as inv
@@ -141,37 +142,15 @@ def search_iso(h: FinHopf, k: FinHopf, grid=None, budget: int = 200000):
         partner = ks.word_image(images, pres.skew_gens[name].items())
         space = inv.skew_space(ks, ks.one_elem(), partner)
         basis = space.basis_vectors()
-        if not basis:
-            return
-        # iterate grid^dim, last coordinate fastest, skipping the zero vector
-        dims = len(basis)
-        idx = [0] * dims
-        while True:
-            if any(idx):
-                vec = {}
-                for t, b in zip(idx, basis):
-                    if t:
-                        sp_add_into(vec, sp_scale(b, grid[t]))
-                if vec:
-                    yield vec
-            pos = dims - 1
-            while pos >= 0:
-                idx[pos] += 1
-                if idx[pos] < len(grid):
-                    break
-                idx[pos] = 0
-                pos -= 1
-            if pos < 0:
-                return
-
-    def assign_grouplikes(i, images):
-        if i == len(gl_names):
-            yield dict(images)
-            return
-        for opt in gl_choices[i]:
-            images[gl_names[i]] = opt
-            yield from assign_grouplikes(i + 1, images)
-        images.pop(gl_names[i], None)
+        # grid^dim, last coordinate fastest; grid index 0 contributes nothing,
+        # and the zero vector is skipped
+        for idx in product(range(len(grid)), repeat=len(basis)):
+            vec = {}
+            for t, b in zip(idx, basis):
+                if t:
+                    sp_add_into(vec, sp_scale(b, grid[t]))
+            if vec:
+                yield vec
 
     def assign_skews(i, images):
         if i == len(skew_names):
@@ -183,7 +162,9 @@ def search_iso(h: FinHopf, k: FinHopf, grid=None, budget: int = 200000):
             if counter[0] > budget:
                 raise _Budget()
             images[name] = cand
-            if i + 1 == len(skew_names) or not pres.relations(images | _zero_fill(pres, images), ks):
+            # partial relation check: unassigned skew generators act as 0
+            if i + 1 == len(skew_names) or not pres.relations(
+                    images | {gen: {} for gen in pres.gen_names if gen not in images}, ks):
                 yield from assign_skews(i + 1, images)
         images.pop(name, None)
 
@@ -191,8 +172,8 @@ def search_iso(h: FinHopf, k: FinHopf, grid=None, budget: int = 200000):
         pass
 
     try:
-        for gl_images in assign_grouplikes(0, {}):
-            for images in assign_skews(0, gl_images):
+        for gl_combo in product(*gl_choices):  # first generator slowest
+            for images in assign_skews(0, dict(zip(gl_names, gl_combo))):
                 if pres.relations(images, ks):
                     continue
                 f = induced_map(hs, ks, images)
@@ -203,15 +184,6 @@ def search_iso(h: FinHopf, k: FinHopf, grid=None, budget: int = 200000):
     except _Budget:
         return "none found (budget)"
     return "none found (grid exhausted)"
-
-
-def _zero_fill(pres, images):
-    # partial relation check: unassigned skew generators act as 0
-    out = {}
-    for name in pres.gen_names:
-        if name not in images:
-            out[name] = {}
-    return out
 
 
 # ---------------------------------------------------------------------------

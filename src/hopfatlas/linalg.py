@@ -42,9 +42,7 @@ def sp_scale(vec: dict, scale) -> dict:
 class Echelon:
     """Incremental forward echelon of sparse rows; canonicalize() yields RREF."""
 
-    def __init__(self, order: int, ambient: int):
-        self.order = order
-        self.ambient = ambient
+    def __init__(self):
         self.rows = {}  # pivot column -> row dict, pivot coefficient 1
 
     def reduce(self, vec: dict) -> dict:
@@ -112,7 +110,7 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, order: int, ambient: int, vectors) -> "Subspace":
-        ech = Echelon(order, ambient)
+        ech = Echelon()
         for v in vectors:
             ech.insert(v)
         return cls(order, ambient, ech.canonical_rows())
@@ -125,7 +123,7 @@ class Subspace:
         return [dict(r) for r in self.basis]
 
     def _echelon(self) -> Echelon:
-        ech = Echelon(self.order, self.ambient)
+        ech = Echelon()
         for r in self.basis:
             ech.rows[r[0][0]] = dict(r)
         return ech
@@ -206,7 +204,7 @@ class LinearMap:
     def inverse(self) -> "LinearMap":
         assert self.is_bijective()
         n = self.source_dim
-        ech = Echelon(self.order, 2 * n)
+        ech = Echelon()
         one = FieldElem.one(self.order)
         for j in range(n):
             row = {i: c for i, c in self.columns[j].items()}
@@ -243,7 +241,7 @@ class LinearMap:
 
 def kernel_of_columns(order, ambient, columns, nvars) -> Subspace:
     """Kernel of the map sending e_j to columns[j] (a subspace of k^nvars)."""
-    ech = Echelon(order, ambient + nvars)
+    ech = Echelon()
     one = FieldElem.one(order)
     out = []
     for j in range(nvars):

@@ -186,25 +186,14 @@ class RuleStep:
 
 class _Call:
     """What one prove() call shares between its profiles: its flags, parsed
-    once, one RuleStep per distinct (rule, detail, flags), one string per
-    distinct variable name (the keys of the assignments), and the extended
-    pack's verdicts for the current g."""
-    __slots__ = ("free_translation", "orbit", "_steps", "_names", "_g", "_extended")
+    once, one RuleStep per distinct (rule, detail, flags) and one string per
+    distinct variable name (the keys of the assignments)."""
+    __slots__ = ("free_translation", "orbit", "_steps", "_names")
 
     def __init__(self, flags=()):
         self.free_translation, self.orbit = _parse_flags(flags)
         self._steps = {}
         self._names = {}
-        self._g = None
-        self._extended = {}
-
-    def extended(self, g):
-        """The extended-pack memo for g: (c0, block key) -> (eliminated,
-        steps, assignment).  Each verdict in it is one g's, so a new g starts
-        it afresh, which also bounds it to one g's verdicts."""
-        if g != self._g:
-            self._g, self._extended = g, {}
-        return self._extended
 
     def name(self, text):
         return self._names.setdefault(text, text)
@@ -497,49 +486,18 @@ def naive_assignment_oracle(variables, total):
     return rec(0, total, [])
 
 
-def applicable_flags(profile: CoradicalProfile, flags):
-    """The flags less those naming a block dimension absent from the profile."""
-    dims = {d for d, _ in profile.blocks}
-    _, orbit = _parse_flags(flags)
-    return tuple(f for f in flags if f not in orbit or orbit[f] in dims)
-
-
 def apply_extended_pack(profile: CoradicalProfile, assumptions: Assumptions, flags=(), call=None):
-    """Complete decision procedure for the stated integer constraint system.
+    """Complete decision procedure for the stated integer constraint system;
+    returns (eliminated, steps, assignment), assignment None if eliminated.
 
     Branches over the witness class required by the existence rule, which
     holds when profile.no_skew and H is nonsemisimple; FEASIBLE iff some
-    branch admits a solution.  Flags naming a block dimension absent from the
-    profile are an error (use applicable_flags to filter upstream).  prove()
-    passes its `call` instead, which holds its flags, parsed once (a flag on
-    a dimension absent from the profile then has no effect), the step table
-    the steps come from and its verdicts so far; `flags` is then not read.
-
-    The verdict reads only g, c0, the block dimensions, the multiplicity of
-    each block whose dimension a full-orbit flag names, and what is fixed
-    for a call (n, the flags and the assumptions), so a call computes it
-    once per distinct input.  Each ProfileVerdict gets a step list and an
-    assignment of its own.
+    branch admits a solution.  A full-orbit flag naming a block dimension
+    absent from the profile has no effect.  prove() passes its `call`, which
+    holds its flags, parsed once, and the step table the steps come from;
+    `flags` is then not read.
     """
-    if call is None:
-        call = _Call(tuple(flags))
-        dims = {d for d, _ in profile.blocks}
-        for f, d in call.orbit.items():
-            if d not in dims:
-                raise ProverError(f"flag {f!r} references a block dimension absent from the profile")
-    orbit = call.orbit.values()
-    key = (profile.c0, tuple((d, m if d in orbit else None) for d, m in profile.blocks))
-    memo = call.extended(profile.g)
-    hit = memo.get(key)
-    if hit is None:
-        hit = memo[key] = _extended_verdict(profile, assumptions, call)
-    eliminated, steps, assignment = hit
-    return ProfileVerdict(profile, eliminated, list(steps),
-                          None if assignment is None else dict(assignment))
-
-
-def _extended_verdict(profile, assumptions, call):
-    """apply_extended_pack's (eliminated, steps, assignment), computed."""
+    call = call or _Call(tuple(flags))
     step = call.step
     exist = profile.no_skew and assumptions.nonsemisimple
     steps = []
@@ -580,12 +538,12 @@ def _extended_verdict(profile, assumptions, call):
                 "E-search",
                 f"feasible: remaining {total} realized (witness class {witness})",
             ))
-            return False, tuple(steps), sol
+            return False, steps, sol
     steps.append(step(
         "E-search",
         f"no branch admits a nonnegative solution for remaining {total}",
     ))
-    return True, tuple(steps), None
+    return True, steps, None
 
 
 # ---------------------------------------------------------------------------
@@ -596,16 +554,16 @@ def prove(n, assumptions: Assumptions = None, pack="base", flags=(), axioms=()) 
     """Per divisor g of n: ELIMINATED (all profiles die, or an enabled axiom
     applies) or SURVIVING with feasible profiles and example assignments.
 
-    Each distinct step is one shared RuleStep, the base pack runs once per
-    distinct (g, c0, d1) and the extended pack once per distinct input (see
-    apply_extended_pack); every ProfileVerdict still gets a list of its own."""
+    Each distinct step is one shared RuleStep and each pack runs once per
+    distinct input; every ProfileVerdict still gets a step list and an
+    assignment of its own."""
     if assumptions is None:
         assumptions = Assumptions()
     if pack not in ("base", "extended"):
         raise ProverError(f"pack must be 'base' or 'extended', got {pack!r}")
     flags = tuple(sorted(set(flags)))
     call = _Call(flags)
-    step = call.step
+    step, orbit = call.step, call.orbit.values()
     for a in axioms:
         if a not in AXIOMS:
             raise ProverError(f"unknown axiom {a!r}")
@@ -635,7 +593,13 @@ def prove(n, assumptions: Assumptions = None, pack="base", flags=(), axioms=()) 
             verdicts.append(GVerdict(g, True, [], [ProfileVerdict(
                 CoradicalProfile(n, g, ()), True, why)]))
             continue
-        base = {}  # (c0, d1) -> apply_base_pack's (eliminated, steps)
+        # The base verdict reads only g, c0 and the first block dimension d1;
+        # the extended one only g, c0, the block dimensions and the
+        # multiplicity of each block whose dimension a full-orbit flag names
+        # (n, the flags and the assumptions are fixed for the call).  Each
+        # pack runs once per distinct key of its memo.
+        base = {}  # (c0, d1) -> (eliminated, steps)
+        extended = {}  # (c0, ((d, m or None), ...)) -> (eliminated, steps, assignment)
         pvs = []
         for prof in profiles:
             key = (prof.c0, prof.blocks[0][0] if prof.blocks else None)
@@ -646,8 +610,13 @@ def prove(n, assumptions: Assumptions = None, pack="base", flags=(), axioms=()) 
             if eliminated or pack == "base":
                 pvs.append(ProfileVerdict(prof, eliminated, list(steps)))
                 continue
-            ext = apply_extended_pack(prof, assumptions, call=call)
-            pvs.append(ProfileVerdict(prof, ext.eliminated, steps + ext.steps, ext.assignment))
+            key = (prof.c0, tuple((d, m if d in orbit else None) for d, m in prof.blocks))
+            hit = extended.get(key)
+            if hit is None:
+                hit = extended[key] = apply_extended_pack(prof, assumptions, call=call)
+            eliminated, ext_steps, assignment = hit
+            pvs.append(ProfileVerdict(prof, eliminated, steps + ext_steps,
+                                      None if assignment is None else dict(assignment)))
         verdicts.append(GVerdict(g, all(p.eliminated for p in pvs), [], pvs))
     return EliminationReport(n, assumptions, pack, flags, tuple(sorted(axioms)), verdicts)
 

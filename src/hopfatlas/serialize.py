@@ -47,19 +47,26 @@ def _coeff_load(cj, order: int) -> FieldElem:
         raise FormatError(f"bad coefficient {cj!r}: {e}") from None
 
 
-def _vec_load(key, entries, dim: int, order: int) -> dict:
-    """A sparse vector: [index, coefficient] pairs with index in range(dim)."""
+def _entries_load(key, entries, arity: int, dim: int, order: int) -> list:
+    """[i_1, ..., i_arity, coefficient] entries, each index in range(dim), as
+    (i_1, ..., i_arity, FieldElem) tuples."""
     if not isinstance(entries, list):
         raise FormatError(f"{key!r} is not a list")
-    vec = {}
+    out = []
     for entry in entries:
-        if not (isinstance(entry, list) and len(entry) == 2 and type(entry[0]) is int):
-            raise FormatError(f"{key!r}: {entry!r} is not an [index, coefficient] pair")
-        i, cj = entry
-        if not 0 <= i < dim:
-            raise FormatError(f"{key!r}: index {i} out of range for dimension {dim}")
-        vec[i] = _coeff_load(cj, order)
-    return vec
+        if not (isinstance(entry, list) and len(entry) == arity + 1
+                and all(type(i) is int for i in entry[:arity])):
+            raise FormatError(f"{key!r}: {entry!r} is not [{'index, ' * arity}coefficient]")
+        for i in entry[:arity]:
+            if not 0 <= i < dim:
+                raise FormatError(f"{key!r}: index {i} out of range for dimension {dim}")
+        out.append((*entry[:arity], _coeff_load(entry[arity], order)))
+    return out
+
+
+def _vec_load(key, entries, dim: int, order: int) -> dict:
+    """A sparse vector: [index, coefficient] pairs with index in range(dim)."""
+    return dict(_entries_load(key, entries, 1, dim, order))
 
 
 def _dense_json(vec: dict, dim: int, order: int):
@@ -115,21 +122,32 @@ def algebra_to_json(h: FinHopf) -> dict:
 
 
 def algebra_from_json(obj) -> FinHopf:
-    order = obj["N"]
-    dim = obj["dim"]
-    mult = {}
-    for i, j, k, cj in obj["mult"]:
-        mult.setdefault((i, j), {})[k] = _coeff_load(cj, order)
-    comult = {}
-    for i, j, k, cj in obj["comult"]:
-        comult.setdefault(i, {})[(j, k)] = _coeff_load(cj, order)
-    cols = [dict() for _ in range(dim)]
-    for i, j, cj in obj["antipode"]:
-        cols[j][i] = _coeff_load(cj, order)
-    dense = {}
+    """The algebra an algebra file holds; a file that is not well-formed for
+    the format, in its header, its tables or any coefficient, raises
+    FormatError."""
+    if not (isinstance(obj, dict) and obj.get("format") == FORMAT_VERSION):
+        raise FormatError(f"not an algebra file of format {FORMAT_VERSION}")
+    order, dim, name = obj.get("N"), obj.get("dim"), obj.get("name")
+    if not (type(order) is int and order >= 1 and type(dim) is int and dim >= 1
+            and isinstance(name, str)):
+        raise FormatError(f"need a string name and integers N, dim >= 1, got "
+                          f"name={name!r}, N={order!r}, dim={dim!r}")
+    dense = {}  # read first: their lengths bound dim by the file's size
     for key in ("unit", "counit"):
-        coeffs = enumerate(_coeff_load(cj, order) for cj in obj[key])
+        coeffs = obj.get(key)
+        if not (isinstance(coeffs, list) and len(coeffs) == dim):
+            raise FormatError(f"{key!r} is not a list of {dim} coefficients")
+        coeffs = enumerate(_coeff_load(cj, order) for cj in coeffs)
         dense[key] = {i: c for i, c in coeffs if c}
+    mult = {}
+    for i, j, k, c in _entries_load("mult", obj.get("mult"), 3, dim, order):
+        mult.setdefault((i, j), {})[k] = c
+    comult = {}
+    for i, j, k, c in _entries_load("comult", obj.get("comult"), 3, dim, order):
+        comult.setdefault(i, {})[(j, k)] = c
+    cols = [dict() for _ in range(dim)]
+    for i, j, c in _entries_load("antipode", obj.get("antipode"), 2, dim, order):
+        cols[j][i] = c
     meta = {}
     raw = obj.get("metadata", {})
     for key in _META_PLAIN_KEYS:
@@ -140,7 +158,7 @@ def algebra_from_json(obj) -> FinHopf:
             meta[key] = [_vec_load(key, v, dim, order) for v in raw[key]]
     if "claimed_generators" in raw:
         meta["claimed_generators"] = {
-            name: _vec_load(name, v, dim, order) for name, v in raw["claimed_generators"].items()
+            gen: _vec_load(gen, v, dim, order) for gen, v in raw["claimed_generators"].items()
         }
     for key in _META_BLOCK_KEYS:
         if key in raw:
@@ -149,7 +167,7 @@ def algebra_from_json(obj) -> FinHopf:
                 for block in raw[key]
             ]
     return FinHopf(
-        obj["name"], dim, order, mult, dense["unit"], comult, dense["counit"],
+        name, dim, order, mult, dense["unit"], comult, dense["counit"],
         LinearMap(order, dim, dim, cols), meta,
     )
 

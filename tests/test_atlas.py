@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 
 import pytest
 
@@ -145,6 +146,28 @@ def test_load_algebra_checks_every_coefficient():
     for bad in (wrong_order, no_coords):
         with pytest.raises(FormatError):
             load_algebra(json.dumps(bad))
+
+
+@pytest.mark.parametrize("edit,message", [
+    pytest.param(lambda o: o["mult"][0].__setitem__(2, 99),
+                 "'mult': index 99 out of range for dimension 9", id="mult-index"),
+    pytest.param(lambda o: o["unit"].append(o["unit"][0]), "'unit' is not a list of 9",
+                 id="unit-extra-entry"),
+    pytest.param(lambda o: o.__setitem__("format", 2), "not an algebra file of format 1",
+                 id="format-2"),
+    pytest.param(lambda o: o["antipode"][0].__setitem__(1, 50),
+                 "'antipode': index 50 out of range for dimension 9", id="antipode-column"),
+    pytest.param(lambda o: o["mult"][0].__delitem__(slice(1, 3)),
+                 "is not [index, index, index, coefficient]", id="mult-two-elements"),
+    pytest.param(lambda o: o.__delitem__("N"), "N=None", id="missing-N"),
+    pytest.param(lambda o: o.__setitem__("dim", "9"), "dim='9'", id="string-dim"),
+])
+def test_load_algebra_checks_the_table_structure(edit, message):
+    # an exported taft3 (dimension 9) with one structural fault each
+    obj = json.loads(dump_algebra(build("taft3")))
+    edit(obj)
+    with pytest.raises(FormatError, match=re.escape(message)):
+        load_algebra(json.dumps(obj))
 
 
 def test_witness_files_round_trip():

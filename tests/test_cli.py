@@ -64,8 +64,7 @@ def test_non_integer_family_parameter_exit_code(capsys, family):
 
 
 def test_prove_bad_full_orbit_flag_exit_code(capsys):
-    code = main(["prove", "200", "--flag", "full-orbit=x"])
-    err = capsys.readouterr().err
+    code, err = _exit_code_and_error(capsys, ["prove", "200", "--flag", "full-orbit=x"])
     assert code == 3 and err.startswith("error: ") and "full-orbit=x" in err
 
 
@@ -73,9 +72,10 @@ def test_prove_bad_full_orbit_flag_exit_code(capsys):
 def test_prove_noncanonical_full_orbit_flag_exit_code(capsys, spelling):
     # one hypothesis, one spelling: stdout, the trace header and the steps
     # would otherwise cite the same flag differently
-    code = main(["prove", "66", "--pack", "extended", "--flag", "full-orbit=2",
-                 "--flag", f"full-orbit={spelling}"])
-    captured = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["prove", "66", "--pack", "extended", "--flag", "full-orbit=2",
+              "--flag", f"full-orbit={spelling}"])
+    code, captured = exc.value.code, capsys.readouterr()
     canonical = f"full-orbit={int(spelling)}"
     assert code == 3 and captured.out == ""
     assert captured.err == f"error: flag 'full-orbit={spelling}': write it as {canonical!r}\n"
@@ -83,8 +83,8 @@ def test_prove_noncanonical_full_orbit_flag_exit_code(capsys, spelling):
 
 @pytest.mark.parametrize("dim", ["1", "-2"])
 def test_prove_full_orbit_below_two_exit_code(capsys, dim):
-    code = main(["prove", "66", "--pack", "extended", "--flag", f"full-orbit={dim}"])
-    err = capsys.readouterr().err
+    code, err = _exit_code_and_error(
+        capsys, ["prove", "66", "--pack", "extended", "--flag", f"full-orbit={dim}"])
     assert code == 3 and err == f"error: flag 'full-orbit={dim}': block dimension {dim!r} is not an integer >= 2\n"
 
 
@@ -173,7 +173,8 @@ def test_status_and_table(capsys):
     assert code == 0 and "grouplike_orders: 1,2,3" in out and "consistent" in out
     code, out = run(capsys, "table", "--format", "csv")
     assert code == 0 and out.startswith("pattern,")
-    assert main(["status", "999"]) == 3
+    code, err = _exit_code_and_error(capsys, ["status", "999"])
+    assert code == 3 and err == "error: status covers dimensions 2..100\n"
     code, _ = run(capsys, "status", "2")
     assert code == 0
 
@@ -209,8 +210,8 @@ def test_coinv(capsys):
     assert code == 0 and "dim coinvariants=3" in out
     code, out = run(capsys, "coinv", "id:h4")
     assert code == 0 and "dim coinvariants=1" in out
-    code = main(["coinv", "nope"])
-    assert code == 3
+    code, err = _exit_code_and_error(capsys, ["coinv", "nope"])
+    assert code == 3 and err.startswith("error: unknown surjection 'nope'") and err.count("\n") == 1
 
 
 def _exit_code_and_error(capsys, argv):

@@ -23,7 +23,6 @@ from hopfatlas.prover import (
     _variable_system,
     apply_base_pack,
     apply_extended_pack,
-    applicable_flags,
     enumerate_profiles,
     full_orbit,
     naive_assignment_oracle,
@@ -129,15 +128,15 @@ def test_base_pack_2pq_g_eq_q():
 def test_extended_70_g5_cases():
     # {(2,10)}: dies without any flags
     prof = CoradicalProfile(70, 5, ((2, 10),))
-    v = apply_extended_pack(prof, Assumptions(), ())
-    assert v.eliminated
+    eliminated, _, assignment = apply_extended_pack(prof, Assumptions(), ())
+    assert eliminated and assignment is None
     # {(2,5)}: feasible without flags, dies with full-orbit(2)
     prof = CoradicalProfile(70, 5, ((2, 5),))
-    v = apply_extended_pack(prof, Assumptions(), ())
-    assert not v.eliminated
-    v = apply_extended_pack(prof, Assumptions(), (full_orbit(2),))
-    assert v.eliminated
-    assert any(s.rule == "E-full-orbit" for s in v.steps)
+    eliminated, _, _ = apply_extended_pack(prof, Assumptions(), ())
+    assert not eliminated
+    eliminated, steps, _ = apply_extended_pack(prof, Assumptions(), (full_orbit(2),))
+    assert eliminated
+    assert any(s.rule == "E-full-orbit" for s in steps)
 
 
 def test_extended_42_g3_unique_survivor():
@@ -152,20 +151,24 @@ def test_full_orbit_only_hits_single_pack_classes():
     # the multiplicity-6 class at n=78 is two translation packs; the orbit
     # hypothesis must not apply, leaving the profile feasible
     prof = CoradicalProfile(78, 6, ((2, 6),))
-    v = apply_extended_pack(prof, Assumptions(), FLAGS[:1] + FLAGS[1:])
-    assert not v.eliminated
-    assert v.assignment == {"y_GG": 12, "y_GD_2": 12, "y_DD_2_2": 12}
+    eliminated, _, assignment = apply_extended_pack(prof, Assumptions(), FLAGS[:1] + FLAGS[1:])
+    assert not eliminated
+    assert assignment == {"y_GG": 12, "y_GD_2": 12, "y_DD_2_2": 12}
     # the single-pack class of the same g at n=66 dies
     prof66 = CoradicalProfile(66, 6, ((2, 3),))
-    v66 = apply_extended_pack(prof66, Assumptions(), FLAGS)
-    assert v66.eliminated
+    assert apply_extended_pack(prof66, Assumptions(), FLAGS)[0]
 
 
-def test_flag_referencing_absent_class_errors():
+def test_flag_referencing_absent_class_has_no_effect():
+    # standalone as inside prove(): a full-orbit flag on a block dimension the
+    # profile lacks leaves the verdict, the steps and the assignment alone
     prof = CoradicalProfile(42, 3, ((3, 1),))
-    with pytest.raises(ProverError):
-        apply_extended_pack(prof, Assumptions(), (full_orbit(2),))
-    assert applicable_flags(prof, (full_orbit(2), FREE_TRANSLATION)) == (FREE_TRANSLATION,)
+    for flags in ((), (FREE_TRANSLATION,)):
+        want = apply_extended_pack(prof, Assumptions(), flags)
+        assert apply_extended_pack(prof, Assumptions(), flags + (full_orbit(2),)) == want
+        report = prove(42, pack="extended", flags=flags + (full_orbit(2),))
+        pv, = [pv for pv in report.verdict_for(3).profiles if pv.profile == prof]
+        assert (pv.eliminated, pv.steps[-len(want[1]):], pv.assignment) == want
 
 
 def test_prove_56_example():
@@ -257,8 +260,9 @@ def test_extended_verdicts_with_one_memo_key_do_not_alias():
 
 
 def test_prove_matches_standalone_packs_on_every_profile():
-    # the shared steps and the base-pack memo (keyed by g, c0 and d1) against
-    # a fresh apply_base_pack + apply_extended_pack call per profile
+    # the shared steps and both pack memos (keyed by g, c0 and d1, and by g,
+    # c0, the block dimensions and the flagged multiplicities) against a
+    # fresh apply_base_pack + apply_extended_pack call per profile
     profiles = 0
     for asm in (Assumptions(), Assumptions(nonsemisimple=False, nonpointed=False)):
         for on in product((False, True), repeat=len(FLAGS)):
@@ -272,8 +276,8 @@ def test_prove_matches_standalone_packs_on_every_profile():
                         if eliminated or pack == "base":
                             want.append((prof, eliminated, steps, None))
                             continue
-                        ext = apply_extended_pack(prof, asm, applicable_flags(prof, flags))
-                        want.append((prof, ext.eliminated, steps + ext.steps, ext.assignment))
+                        ext_eliminated, ext_steps, assignment = apply_extended_pack(prof, asm, flags)
+                        want.append((prof, ext_eliminated, steps + ext_steps, assignment))
                     if want:
                         assert got == want, (n, v.g, pack, flags, asm)
                         profiles += len(want)
@@ -383,7 +387,7 @@ def test_search_matches_dfs_on_every_extended_system():
                     branches = [d for d, _ in prof.blocks] if exist else [None]
                     total = n - prof.c0
                     for on, witness in product(product((False, True), repeat=2), branches):
-                        flags = applicable_flags(prof, [f for f, o in zip(FLAGS, on) if o])
+                        flags = [f for f, o in zip(FLAGS, on) if o]
                         variables, _ = _variable_system(prof, flags, asm, witness)
                         want = dfs_first_solution(variables, total)
                         assert _first_solution(variables, total) == want, (prof, flags, witness)
