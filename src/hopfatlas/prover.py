@@ -186,17 +186,20 @@ class RuleStep:
 
 class _Call:
     """What one prove() call shares between its profiles: its flags, parsed
-    once, one RuleStep per distinct (rule, detail, flags) and one string per
-    distinct variable name (the keys of the assignments)."""
-    __slots__ = ("free_translation", "orbit", "_steps", "_names")
+    once, one RuleStep per distinct (rule, detail, flags), one object per
+    distinct variable name, variable spec and reach bitset, and the shape
+    memo: the part of the extended pack that does not read c0, built once per
+    (g, ((d, m if a full-orbit flag names d else None), ...))."""
+    __slots__ = ("free_translation", "orbit", "_steps", "_shared", "shapes")
 
     def __init__(self, flags=()):
         self.free_translation, self.orbit = _parse_flags(flags)
         self._steps = {}
-        self._names = {}
+        self._shared = {}
+        self.shapes = {}
 
-    def name(self, text):
-        return self._names.setdefault(text, text)
+    def share(self, value):
+        return self._shared.setdefault(value, value)
 
     def step(self, rule, detail, flags=()):
         key = (rule, detail, flags)
@@ -230,6 +233,16 @@ _CITATIONS_JSON = {rule: _quote(text) for rule, text in CITATIONS.items()}
 _SERIALIZE_BATCH = 1 << 20  # characters
 
 
+class _Texts(dict):
+    """key -> format(key), each key formatted on its first lookup."""
+    def __init__(self, format):
+        self.format = format
+
+    def __missing__(self, key):
+        text = self[key] = self.format(key)
+        return text
+
+
 @dataclass
 class EliminationReport:
     n: int
@@ -254,21 +267,21 @@ class EliminationReport:
     def chunks(self):
         """The trace: the report as canonical JSON (keys sorted, no spaces,
         ASCII, one final newline), in pieces of at most one profile each.
-        Each step object is encoded once per call: prove() shares one object
-        per distinct step, and the report keeps the steps alive, so their ids
-        stay distinct while the chunks are written."""
-        encoded = {}
+        Each step object, (d, m) block and assignment entry is encoded once
+        per call: prove() shares one object per distinct step, and the report
+        keeps the steps alive, so their ids stay distinct while it runs."""
+        encoded, blocks = {}, _Texts("[%d,%d]".__mod__)
+        entries = _Texts(lambda item: f"{_quote(item[0])}:{item[1]}")
 
         def steps_json(steps):
-            out = []
-            for s in steps:
-                text = encoded.get(id(s))
-                if text is None:
-                    text = encoded[id(s)] = (
+            try:
+                return ",".join(map(encoded.__getitem__, map(id, steps)))
+            except KeyError:
+                for s in steps:
+                    encoded[id(s)] = (
                         f'{{"citation":{_CITATIONS_JSON[s.rule]},"detail":{_quote(s.detail)},'
                         f'"flags":[{",".join(map(_quote, s.flags))}],"rule":{_quote(s.rule)}}}')
-                out.append(text)
-            return ",".join(out)
+                return ",".join(map(encoded.__getitem__, map(id, steps)))
 
         head = {"assumptions": self.assumptions.to_json(), "axioms": list(self.axioms),
                 "flags": list(self.flags), "n": self.n, "pack": self.pack}
@@ -279,9 +292,9 @@ class EliminationReport:
             for j, pv in enumerate(v.profiles):
                 p = pv.profile
                 assignment = "" if pv.assignment is None else '"assignment":{%s},' % ",".join(
-                    f"{_quote(k)}:{x}" for k, x in sorted(pv.assignment.items()))
-                blocks = ",".join(f"[{d},{m}]" for d, m in p.blocks)
-                yield (f'{"," if j else ""}{{{assignment}"profile":{{"blocks":[{blocks}],'
+                    map(entries.__getitem__, sorted(pv.assignment.items())))
+                yield (f'{"," if j else ""}{{{assignment}"profile":{{"blocks":'
+                       f'[{",".join(map(blocks.__getitem__, p.blocks))}],'
                        f'"g":{p.g},"n":{p.n}}},"steps":[{steps_json(pv.steps)}],'
                        f'"verdict":"{"ELIMINATED" if pv.eliminated else "FEASIBLE"}"}}')
             yield f'],"status":"{"ELIMINATED" if v.eliminated else "SURVIVING"}"}}'
@@ -415,46 +428,55 @@ def _variable_system(profile: CoradicalProfile, flags, assumptions, witness_clas
                 used = (full_orbit(d),)
             else:
                 minimum = g * d
-        variables.append((call.name(f"y_GD_{d}"), 2, g * d, minimum))
+        variables.append((call.share(f"y_GD_{d}"), 2, g * d, minimum))
     ds = [d for d, _ in profile.blocks]
     for i, di in enumerate(ds):
         for dj in ds[i:]:
             modulus = lcm(g, di * dj) if free_translation else di * dj
             minimum = di * di if (exist and witness_class == di and di == dj) else 0
-            variables.append((call.name(f"y_DD_{di}_{dj}"), 1, modulus, minimum))
-    return variables, used
+            variables.append((call.share(f"y_DD_{di}_{dj}"), 1, modulus, minimum))
+    return tuple(map(call.share, variables)), used
 
 
-def _first_solution(variables, total):
-    """Lexicographically least solution of sum(weight*value) = total with
-    value in modulus*Z, value >= minimum; None if infeasible.
-
-    reach[i] is the bitset of the sums up to total that variables i.. can
-    make (bit s set iff s is reachable; the empty sum is 0).  The answer is
-    rebuilt front to back: each variable takes its smallest value whose
-    remainder is reachable by the variables after it."""
-    if total < 0:
-        return None
-    mask = (1 << (total + 1)) - 1
+def _reach(variables, top):
+    """(starts, reach): starts[i] is the least admissible value of variable i
+    and reach[i] the bitset of the sums up to top that variables i.. can make
+    (bit s set iff s is reachable).  Each step only shifts bits upward, so
+    for total <= top, the bits up to total are those of the reach to total."""
+    mask = (1 << (top + 1)) - 1
     starts = [-(-minimum // modulus) * modulus for _, _, modulus, minimum in variables]
     reach = [1]
     for (_, weight, modulus, _), start in zip(reversed(variables), reversed(starts)):
         sums, step = reach[-1], weight * modulus
-        while step <= total:  # close under adding step, doubling the reach
+        while step <= top:  # close under adding step, doubling the reach
             sums |= (sums << step) & mask
             step *= 2
         reach.append((sums << weight * start) & mask)
-    if not reach[-1] >> total & 1:
-        return None
     reach.reverse()
+    return starts, reach
+
+
+def _solve(variables, starts, reach, total):
+    """The least solution for total <= top from _reach(variables, top), None
+    if infeasible: rebuilt front to back, each variable takes its smallest
+    value whose remainder the variables after it can reach."""
+    if total < 0 or not reach[0] >> total & 1:
+        return None
     out, remaining = {}, total
-    for i, (name, weight, modulus, _) in enumerate(variables):
-        value = starts[i]
-        while not reach[i + 1] >> (remaining - weight * value) & 1:
+    for (name, weight, modulus, _), value, after in zip(variables, starts, reach[1:]):
+        while not after >> (remaining - weight * value) & 1:
             value += modulus
         out[name] = value
         remaining -= weight * value
     return out
+
+
+def _first_solution(variables, total):
+    """Lexicographically least solution of sum(weight*value) = total with
+    value in modulus*Z, value >= minimum; None if infeasible."""
+    if total < 0:
+        return None
+    return _solve(variables, *_reach(variables, total), total)
 
 
 def naive_assignment_oracle(variables, total):
@@ -486,6 +508,48 @@ def naive_assignment_oracle(variables, total):
     return rec(0, total, [])
 
 
+def _extended_shape(profile: CoradicalProfile, assumptions: Assumptions, call):
+    """The part of the extended pack that does not read c0: the divisibility
+    steps, and per witness branch (witness, its E-full-orbit and E-exist
+    steps, variables, starts, reach up to n)."""
+    step, g = call.step, profile.g
+    exist = profile.no_skew and assumptions.nonsemisimple
+    steps = [step("E-div-GG", f"g = {g} divides y_GG")]
+    for d, m in profile.blocks:
+        steps.append(step("E-div-GD", f"{g * d} divides y_GD_{d} (per side)"))
+    ds = [d for d, _ in profile.blocks]
+    for i, di in enumerate(ds):
+        for dj in ds[i:]:
+            if call.free_translation:
+                steps.append(step(
+                    "E-free-translation",
+                    f"lcm({g}, {di * dj}) = {lcm(g, di * dj)} divides y_DD_{di}_{dj}",
+                    flags=(FREE_TRANSLATION,),
+                ))
+            else:
+                steps.append(step("E-div-DD", f"{di * dj} divides y_DD_{di}_{dj}"))
+    branches = []
+    for witness in (ds if exist else [None]):
+        variables, used = _variable_system(profile, (), assumptions, witness, call)
+        pre = []
+        if witness is not None:
+            if used:
+                pre.append(step(
+                    "E-full-orbit",
+                    f"witness class d={witness}: per-side y_GD >= "
+                    f"{g}*{witness}*{dict(profile.blocks)[witness]}",
+                    flags=used,
+                ))
+            pre.append(step(
+                "E-exist",
+                f"witness class d={witness}: y_GG >= {g}, minima "
+                + ", ".join(f"{nm} >= {mn}" for nm, _, _, mn in variables if mn),
+            ))
+        starts, reach = _reach(variables, profile.n)
+        branches.append((witness, pre, variables, starts, tuple(map(call.share, reach))))
+    return steps, branches
+
+
 def apply_extended_pack(profile: CoradicalProfile, assumptions: Assumptions, flags=(), call=None):
     """Complete decision procedure for the stated integer constraint system;
     returns (eliminated, steps, assignment), assignment None if eliminated.
@@ -494,52 +558,28 @@ def apply_extended_pack(profile: CoradicalProfile, assumptions: Assumptions, fla
     holds when profile.no_skew and H is nonsemisimple; FEASIBLE iff some
     branch admits a solution.  A full-orbit flag naming a block dimension
     absent from the profile has no effect.  prove() passes its `call`, which
-    holds its flags, parsed once, and the step table the steps come from;
+    holds its flags, parsed once, the step table the steps come from and the
+    shape memo, so that only the search at total = n - c0 runs per verdict;
     `flags` is then not read.
     """
     call = call or _Call(tuple(flags))
-    step = call.step
-    exist = profile.no_skew and assumptions.nonsemisimple
-    steps = []
+    orbit = call.orbit.values()
+    key = (profile.g, tuple((d, m if d in orbit else None) for d, m in profile.blocks))
+    shape = call.shapes.get(key)
+    if shape is None:
+        shape = call.shapes[key] = _extended_shape(profile, assumptions, call)
+    steps = list(shape[0])
     total = profile.n - profile.c0
-    steps.append(step("E-div-GG", f"g = {profile.g} divides y_GG"))
-    for d, m in profile.blocks:
-        steps.append(step("E-div-GD", f"{profile.g * d} divides y_GD_{d} (per side)"))
-    ds = [d for d, _ in profile.blocks]
-    for i, di in enumerate(ds):
-        for dj in ds[i:]:
-            if call.free_translation:
-                steps.append(step(
-                    "E-free-translation",
-                    f"lcm({profile.g}, {di * dj}) = {lcm(profile.g, di * dj)} divides y_DD_{di}_{dj}",
-                    flags=(FREE_TRANSLATION,),
-                ))
-            else:
-                steps.append(step("E-div-DD", f"{di * dj} divides y_DD_{di}_{dj}"))
-    branches = [d for d, _ in profile.blocks] if exist else [None]
-    for witness in branches:
-        variables, used = _variable_system(profile, (), assumptions, witness, call)
-        if witness is not None:
-            if used:
-                steps.append(step(
-                    "E-full-orbit",
-                    f"witness class d={witness}: per-side y_GD >= "
-                    f"{profile.g}*{witness}*{dict(profile.blocks)[witness]}",
-                    flags=used,
-                ))
-            steps.append(step(
-                "E-exist",
-                f"witness class d={witness}: y_GG >= {profile.g}, minima "
-                + ", ".join(f"{nm} >= {mn}" for nm, _, _, mn in variables if mn),
-            ))
-        sol = _first_solution(variables, total)
+    for witness, pre, variables, starts, reach in shape[1]:
+        steps += pre
+        sol = _solve(variables, starts, reach, total)
         if sol is not None:
-            steps.append(step(
+            steps.append(call.step(
                 "E-search",
                 f"feasible: remaining {total} realized (witness class {witness})",
             ))
             return False, steps, sol
-    steps.append(step(
+    steps.append(call.step(
         "E-search",
         f"no branch admits a nonnegative solution for remaining {total}",
     ))

@@ -47,13 +47,25 @@ def _coeff_load(cj, order: int) -> FieldElem:
         raise FormatError(f"bad coefficient {cj!r}: {e}") from None
 
 
+def _json_load(text: str):
+    try:
+        return json.loads(text)
+    except ValueError as e:
+        raise FormatError(f"not JSON: {e}") from None
+
+
+def _checked(key, value, kind):
+    """value, if it is a kind (list or dict); FormatError otherwise."""
+    if not isinstance(value, kind):
+        raise FormatError(f"{key!r} is not {'a list' if kind is list else 'an object'}")
+    return value
+
+
 def _entries_load(key, entries, arity: int, dim: int, order: int) -> list:
     """[i_1, ..., i_arity, coefficient] entries, each index in range(dim), as
     (i_1, ..., i_arity, FieldElem) tuples."""
-    if not isinstance(entries, list):
-        raise FormatError(f"{key!r} is not a list")
     out = []
-    for entry in entries:
+    for entry in _checked(key, entries, list):
         if not (isinstance(entry, list) and len(entry) == arity + 1
                 and all(type(i) is int for i in entry[:arity])):
             raise FormatError(f"{key!r}: {entry!r} is not [{'index, ' * arity}coefficient]")
@@ -123,8 +135,8 @@ def algebra_to_json(h: FinHopf) -> dict:
 
 def algebra_from_json(obj) -> FinHopf:
     """The algebra an algebra file holds; a file that is not well-formed for
-    the format, in its header, its tables or any coefficient, raises
-    FormatError."""
+    the format, in its header, its tables, its metadata's structure or any
+    coefficient, raises FormatError."""
     if not (isinstance(obj, dict) and obj.get("format") == FORMAT_VERSION):
         raise FormatError(f"not an algebra file of format {FORMAT_VERSION}")
     order, dim, name = obj.get("N"), obj.get("dim"), obj.get("name")
@@ -149,22 +161,24 @@ def algebra_from_json(obj) -> FinHopf:
     for i, j, c in _entries_load("antipode", obj.get("antipode"), 2, dim, order):
         cols[j][i] = c
     meta = {}
-    raw = obj.get("metadata", {})
+    raw = _checked("metadata", obj.get("metadata", {}), dict)
     for key in _META_PLAIN_KEYS:
         if key in raw:
             meta[key] = raw[key]
     for key in _META_VEC_KEYS:
         if key in raw:
-            meta[key] = [_vec_load(key, v, dim, order) for v in raw[key]]
+            meta[key] = [_vec_load(key, v, dim, order) for v in _checked(key, raw[key], list)]
     if "claimed_generators" in raw:
         meta["claimed_generators"] = {
-            gen: _vec_load(gen, v, dim, order) for gen, v in raw["claimed_generators"].items()
+            gen: _vec_load(gen, v, dim, order)
+            for gen, v in _checked("claimed_generators", raw["claimed_generators"], dict).items()
         }
     for key in _META_BLOCK_KEYS:
         if key in raw:
             meta[key] = [
-                [[_vec_load(key, v, dim, order) for v in row] for row in block]
-                for block in raw[key]
+                [[_vec_load(key, v, dim, order) for v in _checked(key, row, list)]
+                 for row in _checked(key, block, list)]
+                for block in _checked(key, raw[key], list)
             ]
     return FinHopf(
         name, dim, order, mult, dense["unit"], comult, dense["counit"],
@@ -177,7 +191,7 @@ def dump_algebra(h: FinHopf) -> str:
 
 
 def load_algebra(text: str) -> FinHopf:
-    return algebra_from_json(json.loads(text))
+    return algebra_from_json(_json_load(text))
 
 
 def witness_to_json(w) -> dict:
@@ -202,10 +216,7 @@ def load_witness(text: str, target: FinHopf):
     of every coefficient, must be a multiple of the target's order."""
     from .isowitness import IsoWitness
 
-    try:
-        obj = json.loads(text)
-    except ValueError as e:
-        raise FormatError(f"not JSON: {e}") from None
+    obj = _json_load(text)
     if not isinstance(obj, dict) or obj.get("format") != FORMAT_VERSION:
         raise FormatError(f"not a witness file of format {FORMAT_VERSION}")
     images = obj.get("generator_images")

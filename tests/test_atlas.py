@@ -170,6 +170,34 @@ def test_load_algebra_checks_the_table_structure(edit, message):
         load_algebra(json.dumps(obj))
 
 
+@pytest.mark.parametrize("key,value,message", [
+    pytest.param(None, 7, "'metadata' is not an object", id="metadata-int"),
+    pytest.param("claimed_grouplikes", 5, "'claimed_grouplikes' is not a list", id="vectors-int"),
+    pytest.param("dual_grouplikes", {}, "'dual_grouplikes' is not a list", id="vectors-object"),
+    pytest.param("claimed_generators", [], "'claimed_generators' is not an object",
+                 id="generators-list"),
+    pytest.param("claimed_matrix_bases", 5, "'claimed_matrix_bases' is not a list",
+                 id="blocks-int"),
+    pytest.param("claimed_matrix_bases", [5], "'claimed_matrix_bases' is not a list",
+                 id="block-int"),
+    pytest.param("dual_matrix_bases", [[5]], "'dual_matrix_bases' is not a list", id="row-int"),
+])
+def test_load_algebra_checks_the_metadata_structure(key, value, message):
+    # an exported taft3 with its metadata, or one metadata key, replaced
+    obj = json.loads(dump_algebra(build("taft3")))
+    if key is None:
+        obj["metadata"] = value
+    else:
+        obj["metadata"][key] = value
+    with pytest.raises(FormatError, match=re.escape(message)):
+        load_algebra(json.dumps(obj))
+
+
+def test_load_algebra_rejects_text_that_is_not_json():
+    with pytest.raises(FormatError, match="not JSON: "):
+        load_algebra("{not json")
+
+
 def test_witness_files_round_trip():
     for w in builtin_witnesses()[:3]:
         text = dump_witness(w)

@@ -20,6 +20,8 @@ from hopfatlas.prover import (
     RuleStep,
     TraceError,
     _first_solution,
+    _reach,
+    _solve,
     _variable_system,
     apply_base_pack,
     apply_extended_pack,
@@ -171,6 +173,17 @@ def test_flag_referencing_absent_class_has_no_effect():
         assert (pv.eliminated, pv.steps[-len(want[1]):], pv.assignment) == want
 
 
+def test_extended_pack_eliminates_a_profile_over_n():
+    # c0 > n leaves a negative remainder: no branch admits it, with or
+    # without a witness branch, and the search step names the remainder
+    for prof, asm in ((CoradicalProfile(24, 2, ((4, 2),)), Assumptions()),
+                      (CoradicalProfile(24, 3, ((3, 3),)), Assumptions()),
+                      (CoradicalProfile(24, 3, ((3, 3),)), Assumptions(nonsemisimple=False))):
+        eliminated, steps, assignment = apply_extended_pack(prof, asm)
+        assert eliminated and assignment is None
+        assert steps[-1].detail.endswith(f"remaining {24 - prof.c0}"), (prof, asm)
+
+
 def test_prove_56_example():
     rep = prove(56, pack="base")
     assert {7, 8, 28, 56} <= set(rep.eliminated_gs())
@@ -260,9 +273,11 @@ def test_extended_verdicts_with_one_memo_key_do_not_alias():
 
 
 def test_prove_matches_standalone_packs_on_every_profile():
-    # the shared steps and both pack memos (keyed by g, c0 and d1, and by g,
-    # c0, the block dimensions and the flagged multiplicities) against a
-    # fresh apply_base_pack + apply_extended_pack call per profile
+    # the shared steps, both per-g verdict memos (keyed by c0 and d1, and by
+    # c0, the block dimensions and the flagged multiplicities) and the
+    # call-wide shape memo (keyed by g, the block dimensions and the flagged
+    # multiplicities) against a fresh apply_base_pack + apply_extended_pack
+    # call per profile, each with a shape memo of its own
     profiles = 0
     for asm in (Assumptions(), Assumptions(nonsemisimple=False, nonpointed=False)):
         for on in product((False, True), repeat=len(FLAGS)):
@@ -372,11 +387,10 @@ def test_search_matches_naive_oracle_random():
             assert sum(w * fast[nm] for nm, w, _, _ in variables) == total
 
 
-def test_search_matches_dfs_on_every_extended_system():
-    # every variable system the extended pack can meet for n <= 60, every
-    # witness branch, under both assumption sets and every subset of FLAGS:
-    # the reachability search returns the depth-first walk's assignment
-    systems = 0
+def extended_systems():
+    """(n, profile, flags, witness, variables) for every variable system the
+    extended pack can meet for n <= 60: every witness branch, under both
+    assumption sets and every subset of FLAGS."""
     for asm in (Assumptions(), Assumptions(nonpointed=False, noncopointed=False)):
         for n in range(4, 61):
             for g in divisors(n):
@@ -385,14 +399,39 @@ def test_search_matches_dfs_on_every_extended_system():
                         continue
                     exist = prof.no_skew and asm.nonsemisimple
                     branches = [d for d, _ in prof.blocks] if exist else [None]
-                    total = n - prof.c0
                     for on, witness in product(product((False, True), repeat=2), branches):
                         flags = [f for f, o in zip(FLAGS, on) if o]
-                        variables, _ = _variable_system(prof, flags, asm, witness)
-                        want = dfs_first_solution(variables, total)
-                        assert _first_solution(variables, total) == want, (prof, flags, witness)
-                        systems += 1
+                        yield n, prof, flags, witness, _variable_system(prof, flags, asm, witness)[0]
+
+
+def test_search_matches_dfs_on_every_extended_system():
+    # the reachability search returns the depth-first walk's assignment
+    systems = 0
+    for n, prof, flags, witness, variables in extended_systems():
+        total = n - prof.c0
+        want = dfs_first_solution(variables, total)
+        assert _first_solution(variables, total) == want, (prof, flags, witness)
+        systems += 1
     assert systems > 10000
+
+
+def test_reach_up_to_n_solves_every_total():
+    # the shape memo's search: one reach built up to n, solved at every total
+    # in 0..n, against the reach built for that total, on every variable
+    # system (each distinct (n, system) once); and against the depth-first
+    # walk at three totals per system drawn by HOPFATLAS_TEST_SEED
+    rng = random.Random(TEST_SEED)
+    seen = set()
+    for n, _, _, _, variables in extended_systems():
+        if (n, variables) in seen:
+            continue
+        seen.add((n, variables))
+        starts, reach = _reach(variables, n)
+        got = [_solve(variables, starts, reach, t) for t in range(n + 1)]
+        assert got == [_first_solution(variables, t) for t in range(n + 1)], (n, variables)
+        for t in rng.sample(range(n + 1), 3):
+            assert got[t] == dfs_first_solution(variables, t), (n, variables, t)
+    assert len(seen) > 900
 
 
 def test_parameter_validation():
