@@ -318,3 +318,40 @@ def test_iso_search_unsupported_family_exit_code(capsys, family):
     # kC2dual has no presentation; k8's is not generated by grouplikes and skew-primitives
     code, err = _exit_code_and_error(capsys, ["iso", family, family])
     assert code == 3 and err.count("\n") == 1 and err.startswith(f"error: {family}: ")
+
+
+# -- argument parsing ------------------------------------------------------------
+
+_TOP_USAGE = (
+    "usage: hopfatlas [-h]\n"
+    "                 {verify,invariants,dual,export,iso,coinv,prove,status,table,suite}\n"
+    "                 ...\n"
+)
+_VERBS = ("'verify', 'invariants', 'dual', 'export', 'iso', 'coinv', 'prove', "
+          "'status', 'table', 'suite'")
+
+
+@pytest.mark.parametrize("argv,err", [
+    ([], _TOP_USAGE + "hopfatlas: error: the following arguments are required: verb\n"),
+    (["bogus"], _TOP_USAGE + "hopfatlas: error: argument verb: invalid choice: "
+                             f"'bogus' (choose from {_VERBS})\n"),
+    (["verify"], "usage: hopfatlas verify [-h] family\n"
+                 "hopfatlas verify: error: the following arguments are required: family\n"),
+    (["verify", "taft3", "--bogus"], _TOP_USAGE + "hopfatlas: error: unrecognized arguments: --bogus\n"),
+    (["prove"], _TOP_USAGE + "hopfatlas: error: prove needs a dimension or --replay FILE\n"),
+    (["prove", "x"], "usage: hopfatlas prove [-h] [--pack {base,extended}] [--flag FLAG]\n"
+                     "                       [--axiom AXIOM] [--assume {pointed-ok,copointed-ok}]\n"
+                     "                       [--trace TRACE] [--replay REPLAY] [--verbose]\n"
+                     "                       [dim]\n"
+                     "hopfatlas prove: error: argument dim: invalid int value: 'x'\n"),
+    (["status"], "usage: hopfatlas status [-h] dim\n"
+                 "hopfatlas status: error: the following arguments are required: dim\n"),
+], ids=["none", "unknown-verb", "verify-no-family", "unknown-option", "prove-no-dim",
+        "prove-bad-dim", "status-no-dim"])
+def test_parse_errors_are_pinned(monkeypatch, capsys, argv, err):
+    # usage lines wrap at the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == "" and captured.err == err
