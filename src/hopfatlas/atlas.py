@@ -584,7 +584,8 @@ def _verify_metadata_claims(h: FinHopf, fam: str):
         for g in k.metadata.get("claimed_grouplikes", []):
             if not k.is_grouplike(g):
                 raise AtlasConstructionError(f"{fam}: {side}claimed grouplike fails Delta/eps")
-            if k.mul(k.s(g), g) != k.one_elem() or k.mul(g, k.s(g)) != k.one_elem():
+            sg = k.s(g)
+            if k.mul(sg, g) != k.one_elem() or k.mul(g, sg) != k.one_elem():
                 raise AtlasConstructionError(f"{fam}: {side}claimed grouplike not a unit")
         for block in k.metadata.get("claimed_matrix_bases", []):
             d = len(block)

@@ -274,70 +274,64 @@ def cmd_suite(args):
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 
-def main(argv=None):
+# verb -> (help, handler, arguments); an argument is a name or (name, options)
+VERBS = {
+    "verify": ("run the axiom checkers on a family", cmd_verify, ["family"]),
+    "invariants": ("coradical invariants of a family", cmd_invariants, [
+        "family", ("--report", {"help": "also write a structured JSON report here"})]),
+    "dual": ("serialize the dual of a family", cmd_dual, ["family", "--out"]),
+    "export": ("write the canonical algebra file", cmd_export,
+               ["family", ("--out", {"required": True})]),
+    "iso": ("search or verify an isomorphism witness", cmd_iso, [
+        "family1", "family2",
+        ("--witness", {"help": "verify this witness file instead of searching"}),
+        ("--grid", {"help": "comma list of coefficients, e.g. 0,1,-1,z,-z,1/2"}),
+        ("--budget", {"type": int, "default": 200000})]),
+    "coinv": ("coinvariants of a shipped surjection", cmd_coinv, [
+        "surjection", ("--side", {"choices": ("left", "right"), "default": "right"})]),
+    "prove": ("run the elimination prover on a dimension", cmd_prove, [
+        ("dim", {"type": int, "nargs": "?"}),
+        ("--pack", {"choices": ("base", "extended"), "default": "base"}),
+        ("--flag", {"action": "append", "default": [],
+                    "help": "full-orbit=<d> or free-translation; repeatable"}),
+        ("--axiom", {"action": "append", "default": [], "help": "e.g. pq-half-dim"}),
+        ("--assume", {"action": "append", "default": [],
+                      "choices": ("pointed-ok", "copointed-ok")}),
+        ("--trace", {"help": "write the replayable trace here"}),
+        ("--replay", {"help": "re-run a stored trace and compare bytes"}),
+        ("--verbose", {"action": "store_true", "help": "list every feasible profile"})]),
+    "status": ("Table-1 style status of a dimension", cmd_status, [("dim", {"type": int})]),
+    "table": ("render the whole knowledge base", cmd_table,
+              [("--format", {"choices": ("md", "csv"), "default": "md"})]),
+    "suite": ("run the acceptance battery", cmd_suite, [("--seed", {"type": int, "default": 0})]),
+}
+
+
+def _parser(only=None):
+    """The argument parser, with the subparser of the verb only, or of every
+    verb; the usage line names every verb either way."""
     parser = argparse.ArgumentParser(
         prog="hopfatlas",
         description="exact Hopf algebra atlas, invariants, and counting prover",
     )
-    sub = parser.add_subparsers(dest="verb", required=True)
+    # a metavar would rename the verb argument in "required" and "invalid
+    # choice" errors, which only the full parser can raise
+    metavar = "{" + ",".join(VERBS) + "}" if only else None
+    sub = parser.add_subparsers(dest="verb", required=True, metavar=metavar)
+    for name, (text, fn, arguments) in VERBS.items():
+        if only in (None, name):
+            p = sub.add_parser(name, help=text)
+            for arg in arguments:
+                arg, options = (arg, {}) if isinstance(arg, str) else arg
+                p.add_argument(arg, **options)
+            p.set_defaults(fn=fn)
+    return parser
 
-    p = sub.add_parser("verify", help="run the axiom checkers on a family")
-    p.add_argument("family")
-    p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("invariants", help="coradical invariants of a family")
-    p.add_argument("family")
-    p.add_argument("--report", help="also write a structured JSON report here")
-    p.set_defaults(fn=cmd_invariants)
-
-    p = sub.add_parser("dual", help="serialize the dual of a family")
-    p.add_argument("family")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_dual)
-
-    p = sub.add_parser("export", help="write the canonical algebra file")
-    p.add_argument("family")
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_export)
-
-    p = sub.add_parser("iso", help="search or verify an isomorphism witness")
-    p.add_argument("family1")
-    p.add_argument("family2")
-    p.add_argument("--witness", help="verify this witness file instead of searching")
-    p.add_argument("--grid", help="comma list of coefficients, e.g. 0,1,-1,z,-z,1/2")
-    p.add_argument("--budget", type=int, default=200000)
-    p.set_defaults(fn=cmd_iso)
-
-    p = sub.add_parser("coinv", help="coinvariants of a shipped surjection")
-    p.add_argument("surjection")
-    p.add_argument("--side", choices=("left", "right"), default="right")
-    p.set_defaults(fn=cmd_coinv)
-
-    p = sub.add_parser("prove", help="run the elimination prover on a dimension")
-    p.add_argument("dim", type=int, nargs="?")
-    p.add_argument("--pack", choices=("base", "extended"), default="base")
-    p.add_argument("--flag", action="append", default=[],
-                   help="full-orbit=<d> or free-translation; repeatable")
-    p.add_argument("--axiom", action="append", default=[], help="e.g. pq-half-dim")
-    p.add_argument("--assume", action="append", default=[],
-                   choices=("pointed-ok", "copointed-ok"))
-    p.add_argument("--trace", help="write the replayable trace here")
-    p.add_argument("--replay", help="re-run a stored trace and compare bytes")
-    p.add_argument("--verbose", action="store_true", help="list every feasible profile")
-    p.set_defaults(fn=cmd_prove)
-
-    p = sub.add_parser("status", help="Table-1 style status of a dimension")
-    p.add_argument("dim", type=int)
-    p.set_defaults(fn=cmd_status)
-
-    p = sub.add_parser("table", help="render the whole knowledge base")
-    p.add_argument("--format", choices=("md", "csv"), default="md")
-    p.set_defaults(fn=cmd_table)
-
-    p = sub.add_parser("suite", help="run the acceptance battery")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_suite)
-
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    # building one subparser instead of ten is most of a cold call's parsing
+    parser = _parser(argv[0] if argv and argv[0] in VERBS else None)
     args = parser.parse_args(argv)
     if args.verb == "prove" and not args.replay and args.dim is None:
         parser.error("prove needs a dimension or --replay FILE")

@@ -194,9 +194,11 @@ class FieldElem:
                 return NotImplemented
         order, a, b = self.order, self.nums, other.nums
         den = self.den * other.den
+        if any(b[1:]) and not any(a[1:]):
+            self, a, b, other = other, b, a, self
         if not any(b[1:]):
-            # a rational factor scales; most products in the axiom checks
-            # are by 1, which returns the element itself
+            # a rational factor, on either side, scales the other; a product
+            # by 1 returns the other factor itself
             y = b[0]
             if y == other.den == 1:
                 return self

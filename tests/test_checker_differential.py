@@ -29,7 +29,8 @@ from hopfatlas.scalars import FieldElem
 
 SEED = int(os.environ.get("HOPFATLAS_TEST_SEED", "0"))
 
-FAMILIES = ("h4", "kC3dual", "kD3dual", "k8", "taft3")
+# a4pp is the one with product rows of more than one term (16 of them)
+FAMILIES = ("h4", "kC3dual", "kD3dual", "k8", "taft3", "a4pp")
 TABLES = ("mult", "comult", "counit", "antipode")
 KINDS = ("changed", "deleted", "zero")
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hopfatlas.cli import _parse_grid, main
+from hopfatlas.cli import VERBS, _parse_grid, _parser, main
 from hopfatlas.scalars import FieldElem
 
 
@@ -355,3 +355,88 @@ def test_parse_errors_are_pinned(monkeypatch, capsys, argv, err):
         main(argv)
     captured = capsys.readouterr()
     assert exc.value.code == 2 and captured.out == "" and captured.err == err
+
+
+# every verb and every option, each once with its default and once given
+VALID_ARGV = [
+    ["verify", "taft3"],
+    ["invariants", "k8"],
+    ["invariants", "k8", "--report", "r.json"],
+    ["dual", "taft3"],
+    ["dual", "taft3", "--out", "d.json"],
+    ["export", "taft3", "--out", "e.json"],
+    ["iso", "taft2", "dual:taft2"],
+    ["iso", "taft2", "dual:taft2", "--witness", "w.json", "--grid", "0,1,z", "--budget", "10"],
+    ["coinv", "id:h4"],
+    ["coinv", "id:h4", "--side", "left"],
+    ["prove", "70"],
+    ["prove", "70", "--pack", "extended", "--flag", "full-orbit=2", "--flag", "free-translation",
+     "--axiom", "pq-half-dim", "--assume", "pointed-ok", "--assume", "copointed-ok",
+     "--trace", "t.json", "--verbose"],
+    ["prove", "--replay", "t.json", "--pack=base"],
+    ["status", "24"],
+    ["table"],
+    ["table", "--format", "csv"],
+    ["suite"],
+    ["suite", "--seed", "3"],
+]
+
+
+def test_valid_argv_cover_every_verb_and_option():
+    for verb, (_, _, arguments) in VERBS.items():
+        given = {a.split("=")[0] for argv in VALID_ARGV if argv[0] == verb for a in argv[1:]}
+        names = {a if isinstance(a, str) else a[0] for a in arguments}
+        assert {a for a in names if a.startswith("--")} <= given, verb
+
+
+@pytest.mark.parametrize("argv", VALID_ARGV, ids=[" ".join(a) for a in VALID_ARGV])
+def test_one_verb_parser_matches_the_full_parser(argv):
+    assert _parser(argv[0]).parse_args(argv) == _parser().parse_args(argv)
+
+
+def _help(capsys, parser_argv, argv):
+    with pytest.raises(SystemExit) as exc:
+        _parser(parser_argv).parse_args(argv)
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+_TOP_HELP = _TOP_USAGE + """
+exact Hopf algebra atlas, invariants, and counting prover
+
+positional arguments:
+  {verify,invariants,dual,export,iso,coinv,prove,status,table,suite}
+    verify              run the axiom checkers on a family
+    invariants          coradical invariants of a family
+    dual                serialize the dual of a family
+    export              write the canonical algebra file
+    iso                 search or verify an isomorphism witness
+    coinv               coinvariants of a shipped surjection
+    prove               run the elimination prover on a dimension
+    status              Table-1 style status of a dimension
+    table               render the whole knowledge base
+    suite               run the acceptance battery
+
+options:
+  -h, --help            show this help message and exit
+"""
+_VERIFY_HELP = """usage: hopfatlas verify [-h] family
+
+positional arguments:
+  family
+
+options:
+  -h, --help  show this help message and exit
+"""
+
+
+def test_help_is_unchanged(monkeypatch, capsys):
+    # the "options:" heading dates from Python 3.10; help wraps at the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _help(capsys, None, ["--help"]) == _TOP_HELP
+    assert _help(capsys, "verify", ["verify", "--help"]) == _VERIFY_HELP
+    for verb in VERBS:
+        assert _help(capsys, verb, [verb, "-h"]) == _help(capsys, None, [verb, "-h"]), verb
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0 and capsys.readouterr().out == _VERIFY_HELP

@@ -1,6 +1,6 @@
 import pytest
 
-from hopfatlas.atlas import build, shipped_surjections
+from hopfatlas.atlas import build, list_families, shipped_surjections
 from hopfatlas.hopf import (
     CoinvariantDimensionError,
     FinHopf,
@@ -123,3 +123,35 @@ def test_left_right_coinvariants_dimension_law():
         for side in ("left", "right"):
             sub = coinvariants(big, small, pi, side)
             assert sub.dim * small.dim == big.dim, (name, side)
+
+
+def _grouplike_candidates(h):
+    """The claimed grouplikes; each with one coefficient changed; sums of two
+    (counit 2) and g_a + g_b - g_c (counit 1); the zero vector."""
+    gs = h.metadata.get("claimed_grouplikes", [])
+    out = [dict(g) for g in gs] + [{}]
+    for g in gs:
+        i = min(g)
+        out.append({**g, i: g[i] + g[i] * g[i]})
+    for a, b, c in zip(gs, gs[1:], gs[2:]):
+        ab = {}
+        for v in (a, b):
+            for i, x in v.items():
+                ab[i] = ab.get(i, 0 * x) + x
+        out.append(dict(ab))
+        for i, x in c.items():
+            ab[i] = ab.get(i, 0 * x) - x
+        out.append({i: x for i, x in ab.items() if x})
+    return out
+
+
+def test_is_grouplike_matches_its_definition():
+    # unseeded: every claim of every listed family and of its dual
+    checked = 0
+    for fam in list_families():
+        for k in (build(fam), hopf_dual(build(fam))):
+            for u in _grouplike_candidates(k):
+                expect = k.delta(u) == k.tensor_elem(u, u) and k.eps(u) == 1
+                assert k.is_grouplike(u) == expect, (k.name, u)
+                checked += expect
+    assert checked >= 2 * len(list_families())

@@ -112,3 +112,18 @@ def test_combining_orders_still_refused():
     with pytest.raises(FieldOrderMismatch):
         FieldElem.zeta(5) * FieldElem.zeta(10)
     assert FieldElem.one(5) != FieldElem.one(10) and ref.FieldElem.one(5) != ref.FieldElem.one(10)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_rational_left_factor_matches_reference(order):
+    # a rational left factor takes the scaling path as a rational right one does
+    rng = random.Random(f"{SEED}:left:{order}")
+    for _ in range(8):
+        b, rb = _pair(rng, order)
+        q = Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
+        for r in (q, 1, -1, 0):
+            left = FieldElem.from_rational(r, order)
+            _same(left * b, ref.FieldElem.from_rational(r, order) * rb)
+            assert left * b == b * left
+        with pytest.raises(FieldOrderMismatch):
+            FieldElem.from_rational(q, order + 1) * b
