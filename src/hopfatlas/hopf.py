@@ -224,7 +224,7 @@ def verify_bialgebra(h: FinHopf) -> Report:
     Delta/eps being algebra maps.  Failures carry witness index tuples."""
     _check_shapes(h)
     rep = Report(f"bialgebra({h.name})")
-    n, mult, comult, counit, unit = h.dim, h.mult, h.comult, h.counit, h.unit
+    n, mult, unit = h.dim, h.mult, h.unit
     zero, one = FieldElem.zero(h.order), FieldElem.one(h.order)
 
     for i in range(n):
@@ -249,22 +249,22 @@ def verify_bialgebra(h: FinHopf) -> Report:
                     rep.fail("associativity", (i, j, k))
 
     for i in range(n):
-        d = comult.get(i, {})
+        d = h.comult.get(i, {})
         left = {}
         right = {}
         for (j, k), c in d.items():
-            for (a, b), c2 in comult.get(j, {}).items():
+            for (a, b), c2 in h.comult.get(j, {}).items():
                 sp_add_into(left, {(a, b, k): c * c2}, None)
-            for (a, b), c2 in comult.get(k, {}).items():
+            for (a, b), c2 in h.comult.get(k, {}).items():
                 sp_add_into(right, {(j, a, b): c * c2}, None)
         if left != right:
             rep.fail("coassociativity", (i,))
         lc, rc = {}, {}
         for (j, k), c in d.items():
-            e = counit.get(j)
+            e = h.counit.get(j)
             if e:
                 sp_add_into(lc, {k: c * e}, None)
-            e = counit.get(k)
+            e = h.counit.get(k)
             if e:
                 sp_add_into(rc, {j: c * e}, None)
         if lc != {i: one} or rc != {i: one}:
@@ -275,20 +275,19 @@ def verify_bialgebra(h: FinHopf) -> Report:
     if not h.eps(unit) == 1:
         rep.fail("counit-algebra-map", ("unit",), "eps(1) != 1")
     for i in range(n):
-        di = comult.get(i, {})
-        ei = counit.get(i, zero)
+        di = h.comult.get(i, {})
+        ei = h.counit.get(i, zero)
         for j in range(n):
             prod = mult.get((i, j), {})
-            if h.delta(prod) != mul2(mult, di, comult.get(j, {})):
+            if h.delta(prod) != mul2(mult, di, h.comult.get(j, {})):
                 rep.fail("comult-algebra-map", (i, j))
-            if h.eps(prod) != ei * counit.get(j, zero):
+            if h.eps(prod) != ei * h.counit.get(j, zero):
                 rep.fail("counit-algebra-map", (i, j))
     return rep
 
 
 def verify_antipode(h: FinHopf) -> Report:
-    """m(S(x)id)Delta = unit*eps = m(id(x)S)Delta on every basis element:
-    S(b_j) b_k combines the rows (m,k) over the column S(b_j)."""
+    """m(S(x)id)Delta = unit*eps = m(id(x)S)Delta on every basis element."""
     rep = Report(f"antipode({h.name})")
     zero, mult, s = FieldElem.zero(h.order), h.mult, h.antipode.columns
     for i in range(h.dim):
