@@ -127,21 +127,20 @@ def test_left_right_coinvariants_dimension_law():
 
 def _grouplike_candidates(h):
     """The claimed grouplikes; each with one coefficient changed; sums of two
-    (counit 2) and g_a + g_b - g_c (counit 1); the zero vector."""
+    (counit 2) and g_a + g_b - g_c (counit 1), cancelled entries kept as
+    explicit zeros; the zero vector."""
+    def combination(*terms):
+        out = {}
+        for sign, v in terms:
+            for i, x in v.items():
+                out[i] = out.get(i, 0 * x) + sign * x
+        return out
+
     gs = h.metadata.get("claimed_grouplikes", [])
     out = [dict(g) for g in gs] + [{}]
-    for g in gs:
-        i = min(g)
-        out.append({**g, i: g[i] + g[i] * g[i]})
-    for a, b, c in zip(gs, gs[1:], gs[2:]):
-        ab = {}
-        for v in (a, b):
-            for i, x in v.items():
-                ab[i] = ab.get(i, 0 * x) + x
-        out.append(dict(ab))
-        for i, x in c.items():
-            ab[i] = ab.get(i, 0 * x) - x
-        out.append({i: x for i, x in ab.items() if x})
+    out += [{**g, min(g): g[min(g)] + g[min(g)] * g[min(g)]} for g in gs]
+    out += [combination((1, a), (1, b)) for a, b in zip(gs, gs[1:])]
+    out += [combination((1, a), (1, b), (-1, c)) for a, b, c in zip(gs, gs[1:], gs[2:])]
     return out
 
 
