@@ -18,6 +18,7 @@ from .prover import (
     Assumptions,
     CoradicalProfile,
     FREE_TRANSLATION,
+    _Call,
     _variable_system,
     apply_base_pack,
     apply_extended_pack,
@@ -251,7 +252,7 @@ def ac11_soundness(seed=0):
         branches = [d for d, _ in profile.blocks] if profile.no_skew else [None]
         oracle_feasible = False
         for witness in branches:
-            variables, _ = _variable_system(profile, flags, asm, witness)
+            variables, _ = _variable_system(profile, witness, _Call(flags))
             if naive_assignment_oracle(variables, n - profile.c0) is not None:
                 oracle_feasible = True
                 break

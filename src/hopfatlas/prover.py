@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import io
 import json
+import sys
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd, lcm
@@ -171,13 +172,23 @@ def _profile(n, g, blocks, c0, no_skew):
     return p
 
 
+_CITATIONS_JSON = {rule: _quote(text) for rule, text in CITATIONS.items()}
+
+
 @dataclass(frozen=True, slots=True)
 class RuleStep:
     """One rule application; frozen, because a prove() call shares one
-    instance between every profile that takes the same step."""
+    instance between every profile that takes the same step.  `encoded` is
+    its trace object, written once, when the step is made."""
     rule: str
     detail: str
     flags: tuple = ()
+    encoded: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        _set(self, "encoded", (
+            f'{{"citation":{_CITATIONS_JSON[self.rule]},"detail":{_quote(self.detail)},'
+            f'"flags":[{",".join(map(_quote, self.flags))}],"rule":{_quote(self.rule)}}}'))
 
     @property
     def citation(self):
@@ -186,20 +197,12 @@ class RuleStep:
 
 class _Call:
     """What one prove() call shares between its profiles: its flags, parsed
-    once, one RuleStep per distinct (rule, detail, flags), one object per
-    distinct variable name, variable spec and reach bitset, and the shape
-    memo: the part of the extended pack that does not read c0, built once per
-    (g, ((d, m if a full-orbit flag names d else None), ...))."""
-    __slots__ = ("free_translation", "orbit", "_steps", "_shared", "shapes")
+    once, and one RuleStep per distinct (rule, detail, flags)."""
+    __slots__ = ("free_translation", "orbit", "_steps")
 
     def __init__(self, flags=()):
         self.free_translation, self.orbit = _parse_flags(flags)
         self._steps = {}
-        self._shared = {}
-        self.shapes = {}
-
-    def share(self, value):
-        return self._shared.setdefault(value, value)
 
     def step(self, rule, detail, flags=()):
         key = (rule, detail, flags)
@@ -229,7 +232,6 @@ class GVerdict:
         return bool(self.axiom_steps)
 
 
-_CITATIONS_JSON = {rule: _quote(text) for rule, text in CITATIONS.items()}
 _SERIALIZE_BATCH = 1 << 20  # characters
 
 
@@ -267,21 +269,13 @@ class EliminationReport:
     def chunks(self):
         """The trace: the report as canonical JSON (keys sorted, no spaces,
         ASCII, one final newline), in pieces of at most one profile each.
-        Each step object, (d, m) block and assignment entry is encoded once
-        per call: prove() shares one object per distinct step, and the report
-        keeps the steps alive, so their ids stay distinct while it runs."""
-        encoded, blocks = {}, _Texts("[%d,%d]".__mod__)
+        Each step carries its own encoding; each (d, m) block and assignment
+        entry is encoded once per call."""
+        blocks = _Texts("[%d,%d]".__mod__)
         entries = _Texts(lambda item: f"{_quote(item[0])}:{item[1]}")
 
         def steps_json(steps):
-            try:
-                return ",".join(map(encoded.__getitem__, map(id, steps)))
-            except KeyError:
-                for s in steps:
-                    encoded[id(s)] = (
-                        f'{{"citation":{_CITATIONS_JSON[s.rule]},"detail":{_quote(s.detail)},'
-                        f'"flags":[{",".join(map(_quote, s.flags))}],"rule":{_quote(s.rule)}}}')
-                return ",".join(map(encoded.__getitem__, map(id, steps)))
+            return ",".join([s.encoded for s in steps])
 
         head = {"assumptions": self.assumptions.to_json(), "axioms": list(self.axioms),
                 "flags": list(self.flags), "n": self.n, "pack": self.pack}
@@ -408,34 +402,30 @@ def apply_base_pack(profile: CoradicalProfile, assumptions: Assumptions, call=No
 # extended pack: integer feasibility over the isotypic block dimensions
 # ---------------------------------------------------------------------------
 
-def _variable_system(profile: CoradicalProfile, flags, assumptions, witness_class, call=None):
+def _variable_system(profile: CoradicalProfile, witness_class, call):
     """Variable specs (name, weight, modulus, minimum) for one witness branch,
-    and the full-orbit flags that raised a minimum: full-orbit=d applies when
-    the witness class d is a single translation pack, m = g / gcd(g, d^2).
-    Given a prove() `call`, its parsed flags are used and `flags` is not read."""
+    and the full-orbit flags that raised a minimum.  The existence rule holds
+    iff witness_class is not None; full-orbit=d applies when the witness class
+    d is a single translation pack, m = g / gcd(g, d^2)."""
     g = profile.g
-    exist = profile.no_skew and assumptions.nonsemisimple
-    call = call or _Call(flags)
-    free_translation, orbit = call.free_translation, call.orbit
-    variables = []
-    variables.append(("y_GG", 1, g, g if exist else 0))
+    variables = [("y_GG", 1, g, 0 if witness_class is None else g)]
     used = ()
     for d, m in profile.blocks:
         minimum = 0
-        if exist and witness_class == d:
-            if d in orbit.values() and m == g // gcd(g, d * d):
+        if witness_class == d:
+            if d in call.orbit.values() and m == g // gcd(g, d * d):
                 minimum = g * d * m
                 used = (full_orbit(d),)
             else:
                 minimum = g * d
-        variables.append((call.share(f"y_GD_{d}"), 2, g * d, minimum))
+        variables.append((sys.intern(f"y_GD_{d}"), 2, g * d, minimum))
     ds = [d for d, _ in profile.blocks]
     for i, di in enumerate(ds):
         for dj in ds[i:]:
-            modulus = lcm(g, di * dj) if free_translation else di * dj
-            minimum = di * di if (exist and witness_class == di and di == dj) else 0
-            variables.append((call.share(f"y_DD_{di}_{dj}"), 1, modulus, minimum))
-    return tuple(map(call.share, variables)), used
+            modulus = lcm(g, di * dj) if call.free_translation else di * dj
+            minimum = di * di if witness_class == di == dj else 0
+            variables.append((sys.intern(f"y_DD_{di}_{dj}"), 1, modulus, minimum))
+    return tuple(variables), used
 
 
 def _reach(variables, top):
@@ -509,9 +499,9 @@ def naive_assignment_oracle(variables, total):
 
 
 def _extended_shape(profile: CoradicalProfile, assumptions: Assumptions, call):
-    """The part of the extended pack that does not read c0: the divisibility
-    steps, and per witness branch (witness, its E-full-orbit and E-exist
-    steps, variables, starts, reach up to n)."""
+    """The part of the extended pack that does not read c0: (the call's step
+    maker, the divisibility steps, and per witness branch (witness, its
+    E-full-orbit and E-exist steps, variables, starts, reach up to n))."""
     step, g = call.step, profile.g
     exist = profile.no_skew and assumptions.nonsemisimple
     steps = [step("E-div-GG", f"g = {g} divides y_GG")]
@@ -530,7 +520,7 @@ def _extended_shape(profile: CoradicalProfile, assumptions: Assumptions, call):
                 steps.append(step("E-div-DD", f"{di * dj} divides y_DD_{di}_{dj}"))
     branches = []
     for witness in (ds if exist else [None]):
-        variables, used = _variable_system(profile, (), assumptions, witness, call)
+        variables, used = _variable_system(profile, witness, call)
         pre = []
         if witness is not None:
             if used:
@@ -545,41 +535,34 @@ def _extended_shape(profile: CoradicalProfile, assumptions: Assumptions, call):
                 f"witness class d={witness}: y_GG >= {g}, minima "
                 + ", ".join(f"{nm} >= {mn}" for nm, _, _, mn in variables if mn),
             ))
-        starts, reach = _reach(variables, profile.n)
-        branches.append((witness, pre, variables, starts, tuple(map(call.share, reach))))
-    return steps, branches
+        branches.append((witness, pre, variables, *_reach(variables, profile.n)))
+    return step, steps, branches
 
 
-def apply_extended_pack(profile: CoradicalProfile, assumptions: Assumptions, flags=(), call=None):
+def apply_extended_pack(profile: CoradicalProfile, assumptions: Assumptions, flags=(), shape=None):
     """Complete decision procedure for the stated integer constraint system;
     returns (eliminated, steps, assignment), assignment None if eliminated.
 
     Branches over the witness class required by the existence rule, which
     holds when profile.no_skew and H is nonsemisimple; FEASIBLE iff some
     branch admits a solution.  A full-orbit flag naming a block dimension
-    absent from the profile has no effect.  prove() passes its `call`, which
-    holds its flags, parsed once, the step table the steps come from and the
-    shape memo, so that only the search at total = n - c0 runs per verdict;
-    `flags` is then not read.
+    absent from the profile has no effect.  prove() passes the profile's
+    `shape` from its memo, so that only the search at total = n - c0 runs
+    per verdict; `flags` is then not read.
     """
-    call = call or _Call(tuple(flags))
-    orbit = call.orbit.values()
-    key = (profile.g, tuple((d, m if d in orbit else None) for d, m in profile.blocks))
-    shape = call.shapes.get(key)
-    if shape is None:
-        shape = call.shapes[key] = _extended_shape(profile, assumptions, call)
-    steps = list(shape[0])
+    step, steps, branches = shape or _extended_shape(profile, assumptions, _Call(tuple(flags)))
+    steps = list(steps)
     total = profile.n - profile.c0
-    for witness, pre, variables, starts, reach in shape[1]:
+    for witness, pre, variables, starts, reach in branches:
         steps += pre
         sol = _solve(variables, starts, reach, total)
         if sol is not None:
-            steps.append(call.step(
+            steps.append(step(
                 "E-search",
                 f"feasible: remaining {total} realized (witness class {witness})",
             ))
             return False, steps, sol
-    steps.append(call.step(
+    steps.append(step(
         "E-search",
         f"no branch admits a nonnegative solution for remaining {total}",
     ))
@@ -637,9 +620,10 @@ def prove(n, assumptions: Assumptions = None, pack="base", flags=(), axioms=()) 
         # the extended one only g, c0, the block dimensions and the
         # multiplicity of each block whose dimension a full-orbit flag names
         # (n, the flags and the assumptions are fixed for the call).  Each
-        # pack runs once per distinct key of its memo.
+        # pack runs once per distinct key of its memo, and the extended
+        # pack's shape, which does not read c0, once per flagged blocks.
         base = {}  # (c0, d1) -> (eliminated, steps)
-        extended = {}  # (c0, ((d, m or None), ...)) -> (eliminated, steps, assignment)
+        shapes = {}  # ((d, m or None), ...) -> (shape, {c0: (eliminated, steps, assignment)})
         pvs = []
         for prof in profiles:
             key = (prof.c0, prof.blocks[0][0] if prof.blocks else None)
@@ -650,10 +634,14 @@ def prove(n, assumptions: Assumptions = None, pack="base", flags=(), axioms=()) 
             if eliminated or pack == "base":
                 pvs.append(ProfileVerdict(prof, eliminated, list(steps)))
                 continue
-            key = (prof.c0, tuple((d, m if d in orbit else None) for d, m in prof.blocks))
-            hit = extended.get(key)
+            key = tuple((d, m if d in orbit else None) for d, m in prof.blocks)
+            memo = shapes.get(key)
+            if memo is None:
+                memo = shapes[key] = (_extended_shape(prof, assumptions, call), {})
+            shape, verdicts_by_c0 = memo
+            hit = verdicts_by_c0.get(prof.c0)
             if hit is None:
-                hit = extended[key] = apply_extended_pack(prof, assumptions, call=call)
+                hit = verdicts_by_c0[prof.c0] = apply_extended_pack(prof, assumptions, shape=shape)
             eliminated, ext_steps, assignment = hit
             pvs.append(ProfileVerdict(prof, eliminated, steps + ext_steps,
                                       None if assignment is None else dict(assignment)))

@@ -19,6 +19,7 @@ from hopfatlas.prover import (
     ProverError,
     RuleStep,
     TraceError,
+    _Call,
     _first_solution,
     _reach,
     _solve,
@@ -255,6 +256,38 @@ def test_steps_are_frozen():
             setattr(step, name, value)
 
 
+def test_step_carries_its_own_trace_object():
+    # each step encodes its JSON object once, when it is made; the encoding
+    # is no part of ==, hash or repr, and a replaced step encodes anew
+    steps, _ = _steps_and_lists(prove(96, pack="extended", flags=FLAGS, axioms=("pq-half-dim",)))
+    distinct = {id(s): s for s in steps}.values()
+    assert len(distinct) > 100
+    for s in distinct:
+        assert json.loads(s.encoded) == {"citation": s.citation, "detail": s.detail,
+                                         "flags": list(s.flags), "rule": s.rule}
+    assert json.loads(dataclasses.replace(s, detail="x").encoded)["detail"] == "x"
+    twin = RuleStep(s.rule, s.detail, s.flags)
+    object.__setattr__(twin, "encoded", "")
+    assert twin == s and hash(twin) == hash(s) and repr(twin) == repr(s)
+
+
+def test_prove_calls_the_extended_pack_through_the_module(monkeypatch):
+    # bench/tracing.py counts verdicts by wrapping the module's name, so
+    # prove() looks it up there once per computed extended verdict
+    calls = []
+    pack = prover.apply_extended_pack
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return pack(*args, **kwargs)
+
+    monkeypatch.setattr(prover, "apply_extended_pack", counted)
+    prove(200, pack="extended")
+    assert len(calls) == 9729
+    prove(200, pack="base")
+    assert len(calls) == 9729
+
+
 def test_extended_verdicts_with_one_memo_key_do_not_alias():
     # two FEASIBLE profiles of n = 40, g = 2 with the same c0 = 38 and block
     # dimensions (2, 4) share one extended verdict inside prove()
@@ -273,11 +306,11 @@ def test_extended_verdicts_with_one_memo_key_do_not_alias():
 
 
 def test_prove_matches_standalone_packs_on_every_profile():
-    # the shared steps, both per-g verdict memos (keyed by c0 and d1, and by
-    # c0, the block dimensions and the flagged multiplicities) and the
-    # call-wide shape memo (keyed by g, the block dimensions and the flagged
-    # multiplicities) against a fresh apply_base_pack + apply_extended_pack
-    # call per profile, each with a shape memo of its own
+    # the shared steps, the per-g base memo (keyed by c0 and d1) and the
+    # per-g shape memo (keyed by the block dimensions and the flagged
+    # multiplicities, each shape holding its verdicts by c0) against a fresh
+    # apply_base_pack + apply_extended_pack call per profile, each building
+    # its shape from the flags as given
     profiles = 0
     for asm in (Assumptions(), Assumptions(nonsemisimple=False, nonpointed=False)):
         for on in product((False, True), repeat=len(FLAGS)):
@@ -401,7 +434,7 @@ def extended_systems():
                     branches = [d for d, _ in prof.blocks] if exist else [None]
                     for on, witness in product(product((False, True), repeat=2), branches):
                         flags = [f for f, o in zip(FLAGS, on) if o]
-                        yield n, prof, flags, witness, _variable_system(prof, flags, asm, witness)[0]
+                        yield n, prof, flags, witness, _variable_system(prof, witness, _Call(flags))[0]
 
 
 def test_search_matches_dfs_on_every_extended_system():
@@ -416,10 +449,11 @@ def test_search_matches_dfs_on_every_extended_system():
 
 
 def test_reach_up_to_n_solves_every_total():
-    # the shape memo's search: one reach built up to n, solved at every total
-    # in 0..n, against the reach built for that total, on every variable
-    # system (each distinct (n, system) once); and against the depth-first
-    # walk at three totals per system drawn by HOPFATLAS_TEST_SEED
+    # a shape's search: one reach built up to n, which each verdict of the
+    # shape solves at its total n - c0, solved here at every total in 0..n
+    # against the reach built for that total, on every variable system (each
+    # distinct (n, system) once); and against the depth-first walk at three
+    # totals per system drawn by HOPFATLAS_TEST_SEED
     rng = random.Random(TEST_SEED)
     seen = set()
     for n, _, _, _, variables in extended_systems():
