@@ -1,129 +1,72 @@
-"""Small finite groups used by the atlas: cyclics, products of cyclics, dihedrals.
+"""Cyclic and dihedral group data used by the atlas.
 
-Character and irreducible-representation data is exact over Q(zeta_e) where e
-is large enough to split; it feeds the grouplike / matrix-coalgebra claims of
-group algebras and their duals.
+A group is a frozen record over element indices 0..order-1, the identity at
+index 0.  Its characters and 2-dim irreducible representations are exact
+values over Q(zeta_field_order), which splits the group; they feed the
+grouplike / matrix-coalgebra claims of group algebras and their duals.
 """
 
 from __future__ import annotations
 
-from math import lcm
+from dataclasses import dataclass
 
 from .scalars import FieldElem
 
 
+@dataclass(frozen=True)
 class FiniteGroup:
-    def __init__(self, name, elements, mult, inv, identity, labels=None):
-        self.name = name
-        self.elements = list(elements)
-        self.index = {e: i for i, e in enumerate(self.elements)}
-        self.mult = mult
-        self.inv = inv
-        self.identity = identity
-        self.labels = labels or [str(e) for e in self.elements]
+    name: str
+    labels: tuple        # labels[a]: display label of element a
+    mul: tuple           # mul[a][b]: index of the product ab
+    inv: tuple           # inv[a]: index of the inverse of a
+    field_order: int
+    characters: tuple    # linear characters, each a value per element index
+    irreps: tuple        # 2-dim irreducibles, each a 2x2 matrix per element index
 
     @property
     def order(self):
-        return len(self.elements)
-
-    def element_order(self, e):
-        k, cur = 1, e
-        while cur != self.identity:
-            cur = self.mult(cur, e)
-            k += 1
-        return k
-
-    @property
-    def exponent(self):
-        return lcm(*[self.element_order(e) for e in self.elements])
-
-    def characters(self, field_order):
-        """Linear characters as value-vectors over the element list."""
-        raise NotImplementedError
-
-    def two_dim_irreps(self, field_order):
-        """List of {element: 2x2 matrix of FieldElem} for each 2-dim irreducible."""
-        return []
+        return len(self.labels)
 
 
-class AbelianGroup(FiniteGroup):
-    def __init__(self, orders):
-        self.orders = tuple(orders)
-        if any(n < 1 for n in self.orders):
-            raise ValueError("cyclic order must be >= 1")
-        elements = [()]
-        for n in self.orders:
-            elements = [e + (a,) for e in elements for a in range(n)]
-        name = "x".join(f"C{n}" for n in self.orders) or "C1"
-
-        def mult(a, b):
-            return tuple((x + y) % n for x, y, n in zip(a, b, self.orders))
-
-        def inv(a):
-            return tuple((-x) % n for x, n in zip(a, self.orders))
-
-        labels = ["*".join(f"g{i}^{a}" for i, a in enumerate(e) if a) or "1" for e in elements]
-        super().__init__(name, elements, mult, inv, tuple(0 for _ in self.orders), labels)
-
-    def characters(self, field_order):
-        chars = []
-        for m in self.elements:
-            vals = []
-            for e in self.elements:
-                k = sum(
-                    mi * ei * (field_order // ni) for mi, ei, ni in zip(m, e, self.orders)
-                )
-                vals.append(FieldElem.zeta(field_order, k))
-            chars.append(vals)
-        return chars
+def cyclic_group(n: int) -> FiniteGroup:
+    """C_n, element i standing for g^i, over Q(zeta_n)."""
+    if n < 1:
+        raise ValueError("cyclic order must be >= 1")
+    return FiniteGroup(
+        f"C{n}", ("1",) + tuple(f"g0^{i}" for i in range(1, n)),
+        tuple(tuple((i + j) % n for j in range(n)) for i in range(n)),
+        tuple((-i) % n for i in range(n)), n,
+        tuple(tuple(FieldElem.zeta(n, m * i) for i in range(n)) for m in range(n)), (),
+    )
 
 
-class DihedralGroup(FiniteGroup):
-    """D_k of order 2k: elements (i, f) standing for r^i s^f."""
+def dihedral_group(k: int) -> FiniteGroup:
+    """D_k of order 2k over Q(zeta_k): index i + k*f stands for r^i s^f."""
+    if k < 3:
+        raise ValueError(f"dihedral group needs k >= 3, got {k}")
+    elements = [(i, f) for f in (0, 1) for i in range(k)]
 
-    def __init__(self, k):
-        if k < 3:
-            raise ValueError(f"dihedral group needs k >= 3, got {k}")
-        self.k = k
-        elements = [(i, f) for f in (0, 1) for i in range(k)]
+    def index(i, f):
+        return i % k + k * (f % 2)
 
-        def mult(a, b):
-            i, f = a
-            j, g = b
-            return ((i + (j if f == 0 else -j)) % k, (f + g) % 2)
-
-        def inv(a):
-            i, f = a
-            return ((-i) % k, 0) if f == 0 else a
-
-        labels = [("1" if i == 0 else f"r^{i}") + ("" if f == 0 else "*s") for (i, f) in elements]
-        super().__init__(f"D{k}", elements, mult, inv, (0, 0), labels)
-
-    def characters(self, field_order):
-        one = FieldElem.one(field_order)
-        neg = -one
-        chars = [[one for _ in self.elements]]
-        chars.append([one if f == 0 else neg for (_, f) in self.elements])
-        if self.k % 2 == 0:
-            chars.append([one if i % 2 == 0 else neg for (i, _) in self.elements])
-            chars.append(
-                [one if (i + f) % 2 == 0 else neg for (i, f) in self.elements]
-            )
-        return chars
-
-    def two_dim_irreps(self, field_order):
-        k = self.k
-        step = field_order // k
-        reps = []
-        zero = FieldElem.zero(field_order)
-        for j in range(1, (k - 1) // 2 + 1):
-            rep = {}
-            for (i, f) in self.elements:
-                a = FieldElem.zeta(field_order, (j * i * step) % field_order)
-                b = FieldElem.zeta(field_order, (-j * i * step) % field_order)
-                if f == 0:
-                    rep[(i, f)] = ((a, zero), (zero, b))
-                else:
-                    rep[(i, f)] = ((zero, a), (b, zero))
-            reps.append(rep)
-        return reps
+    one, zero = FieldElem.one(k), FieldElem.zero(k)
+    neg = -one
+    chars = [[one] * (2 * k), [one if f == 0 else neg for (_, f) in elements]]
+    if k % 2 == 0:
+        chars.append([one if i % 2 == 0 else neg for (i, _) in elements])
+        chars.append([one if (i + f) % 2 == 0 else neg for (i, f) in elements])
+    irreps = []
+    for j in range(1, (k - 1) // 2 + 1):
+        rep = []
+        for (i, f) in elements:
+            a, b = FieldElem.zeta(k, j * i), FieldElem.zeta(k, -j * i)
+            rep.append(((a, zero), (zero, b)) if f == 0 else ((zero, a), (b, zero)))
+        irreps.append(tuple(rep))
+    return FiniteGroup(
+        f"D{k}",
+        tuple(("1" if i == 0 else f"r^{i}") + ("" if f == 0 else "*s") for (i, f) in elements),
+        tuple(tuple(index(i + (j if f == 0 else -j), f + g) for (j, g) in elements)
+              for (i, f) in elements),
+        tuple(index(-i, 0) if f == 0 else index(i, f) for (i, f) in elements), k,
+        tuple(tuple(c) for c in chars), tuple(irreps),
+    )

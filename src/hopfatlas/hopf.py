@@ -23,7 +23,7 @@ from functools import reduce
 from math import lcm
 
 from .linalg import LinearMap, Subspace, kernel_of_columns, sp_add_into, sp_scale
-from .scalars import FieldElem
+from .scalars import FieldElem, embed
 
 
 class ShapeError(ValueError):
@@ -170,17 +170,8 @@ class FinHopf:
     def embed(self, target_order: int) -> "FinHopf":
         if target_order == self.order:
             return self
-        mult = {
-            ij: {k: c.embed(target_order) for k, c in row.items()}
-            for ij, row in self.mult.items()
-        }
-        comult = {
-            i: {jk: c.embed(target_order) for jk, c in row.items()}
-            for i, row in self.comult.items()
-        }
-        unit = {i: c.embed(target_order) for i, c in self.unit.items()}
-        counit = {i: c.embed(target_order) for i, c in self.counit.items()}
-        meta = _embed_metadata(self.metadata, target_order)
+        mult, unit, comult, counit, meta = embed(
+            [self.mult, self.unit, self.comult, self.counit, self.metadata], target_order)
         return FinHopf(
             self.name, self.dim, target_order, mult, unit, comult, counit,
             self.antipode.embed(target_order), meta,
@@ -188,19 +179,6 @@ class FinHopf:
 
     def scalar(self, q) -> FieldElem:
         return FieldElem.from_rational(q, self.order)
-
-
-def _embed_metadata(meta: dict, order: int) -> dict:
-    def conv(v):
-        if isinstance(v, dict) and all(isinstance(c, FieldElem) for c in v.values()):
-            return {i: c.embed(order) for i, c in v.items()}
-        if isinstance(v, list):
-            return [conv(x) for x in v]
-        if isinstance(v, dict):
-            return {k: conv(x) for k, x in v.items()}
-        return v
-
-    return {k: conv(v) for k, v in meta.items()}
 
 
 def _check_shapes(h: FinHopf):

@@ -20,7 +20,7 @@ from . import invariants as inv
 from .atlas import presentation
 from .hopf import FinHopf, Report, hopf_dual, verify_hopf_morphism
 from .linalg import LinearMap, sp_add_into, sp_scale
-from .scalars import FieldElem
+from .scalars import FieldElem, embed
 
 
 @dataclass
@@ -38,8 +38,7 @@ def _common_field(h: FinHopf, k: FinHopf, witness: IsoWitness):
     """h, k and the witness's generator images, embedded in one field."""
     images = witness.generator_images
     order = lcm(h.order, k.order, *(c.order for v in images.values() for c in v.values()))
-    images = {g: {i: c.embed(order) for i, c in v.items()} for g, v in images.items()}
-    return h.embed(order), k.embed(order), images
+    return h.embed(order), k.embed(order), embed(images, order)
 
 
 def _presentation(h: FinHopf):
@@ -122,7 +121,7 @@ def search_iso(h: FinHopf, k: FinHopf, grid=None, budget: int = 200000):
     if grid is None:
         grid = default_grid(order)
     else:
-        grid = [c.embed(order) if c.order != order else c for c in grid]
+        grid = embed(list(grid), order)
 
     gl_names = list(pres.grouplike_gens)
     gl_choices = []

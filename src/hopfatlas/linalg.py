@@ -8,7 +8,7 @@ squares, so the row operations stay sparse throughout.
 
 from __future__ import annotations
 
-from .scalars import FieldElem
+from .scalars import FieldElem, embed
 
 
 def spvec(order, items=None):
@@ -40,7 +40,7 @@ def sp_scale(vec: dict, scale) -> dict:
 
 
 class Echelon:
-    """Incremental forward echelon of sparse rows; canonicalize() yields RREF."""
+    """Incremental forward echelon of sparse rows; canonical_rows() yields RREF."""
 
     def __init__(self):
         self.rows = {}  # pivot column -> row dict, pivot coefficient 1
@@ -226,8 +226,8 @@ class LinearMap:
         return LinearMap(self.order, self.target_dim, self.source_dim, cols)
 
     def embed(self, target_order: int) -> "LinearMap":
-        cols = [{i: c.embed(target_order) for i, c in col.items()} for col in self.columns]
-        return LinearMap(target_order, self.source_dim, self.target_dim, cols)
+        return LinearMap(target_order, self.source_dim, self.target_dim,
+                         embed(self.columns, target_order))
 
     def __eq__(self, other):
         return (

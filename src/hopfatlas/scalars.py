@@ -352,6 +352,18 @@ class FieldElem:
         return cls(obj["N"], obj["coords"])
 
 
+def embed(x, order: int):
+    """x with every FieldElem in it embedded in Q(zeta_order); dicts and lists
+    keep their shape and keys, any other value is kept as it is."""
+    if isinstance(x, FieldElem):
+        return x.embed(order)
+    if isinstance(x, dict):
+        return {k: embed(v, order) for k, v in x.items()}
+    if isinstance(x, list):
+        return [embed(v, order) for v in x]
+    return x
+
+
 # Arithmetic builds its results here, bypassing the checking constructor.
 _new = object.__new__
 _set_order = FieldElem.order.__set__

@@ -1,6 +1,11 @@
 """The dict-tree trace serializer that EliminationReport.chunks replaced, kept
 as its differential oracle: each report object becomes a dict, and the tree
 is dumped once by json.dumps with sorted keys and no spaces (trace format v1).
+
+assert_same_text compares two whole texts (traces, algebra files) exactly and
+reports a mismatch at once, by its first differing offset; pytest's own
+assertion rewriting would diff the two texts, which for a multi-kilobyte trace
+runs for minutes.
 """
 
 import json
@@ -56,3 +61,23 @@ def report_to_json(report):
 
 def serialize(report) -> str:
     return canonical_json(report_to_json(report))
+
+
+def assert_same_text(got, want, label=""):
+    """Fail unless got == want (two str or two bytes).  The message gives both
+    lengths, the first differing offset and about 80 characters of each side
+    around it."""
+    if got == want:
+        return
+    at, step = 0, 4096
+    while got[at:at + step] == want[at:at + step]:
+        at += step
+    while got[at:at + 1] == want[at:at + 1]:
+        at += 1
+    lo = max(at - 40, 0)
+    raise AssertionError(
+        f"{label}{': ' if label else ''}texts differ: lengths {len(got)} and {len(want)}, "
+        f"first difference at offset {at}\n"
+        f" got[{lo}:{lo + 80}] = {got[lo:lo + 80]!r}\n"
+        f"want[{lo}:{lo + 80}] = {want[lo:lo + 80]!r}"
+    )

@@ -4,6 +4,8 @@ import re
 
 import pytest
 
+from json_trace import assert_same_text
+
 from hopfatlas.atlas import (
     AtlasConstructionError,
     UnknownFamilyError,
@@ -120,12 +122,71 @@ def test_matrix_basis_claims():
                     assert h.delta(block[u][v]) == expect
 
 
+def _with_claim(fam, side, kind, edit):
+    """A copy of build(fam) whose first claimed grouplike or matrix-like block
+    on the given side is edit(claim, grouplikes of that side); the cached
+    family stays as it is."""
+    h = build(fam)
+    prefix = "dual" if side else "claimed"
+    key = f"{prefix}_{kind}"
+    grouplikes = h.metadata[f"{prefix}_grouplikes"]
+    claims = list(h.metadata[key])
+    claims[0] = edit(claims[0], grouplikes)
+    bad = copy.copy(h)
+    bad.metadata = {**h.metadata, key: claims}
+    return bad
+
+
+def _combination(*terms):
+    from hopfatlas.linalg import sp_add_into
+
+    out = {}
+    for scale, vec in terms:
+        sp_add_into(out, vec, scale)
+    return out
+
+
+# (family, claim kind, edit, message after "<family>: <side>"); on the dual
+# side the family is dual:<family> for a matrix-like block, because the
+# dual_* claims of dual:k8 are the claimed_* ones of k8
+_BAD_CLAIMS = {
+    # g1 + g2 - g0 has eps 1, but its coproduct is not its own square
+    "not-grouplike": ("taft3", "grouplikes",
+                      lambda g, gs: _combination((1, gs[1]), (1, gs[2]), (-1, gs[0])),
+                      "claimed grouplike fails Delta/eps"),
+    # Delta(2 e01) still fits the (0, 1) law, but the (0, 0) law now needs
+    # 2 e01 (x) e10
+    "entry-changed": ("k8", "matrix_bases",
+                      lambda b, gs: [[b[0][0], _combination((2, b[0][1]))], b[1]],
+                      "matrix-like comult fails at (0, 0)"),
+    "zero-block": ("k8", "matrix_bases", lambda b, gs: [[{}, {}], [{}, {}]],
+                   "matrix-like counit fails at (0, 0)"),
+    # Delta and eps hold for [[g, 0], [0, g]], but its entries are dependent
+    "grouplike-block": ("k8", "matrix_bases", lambda b, gs: [[gs[0], {}], [{}, gs[0]]],
+                        "matrix-like basis not independent"),
+}
+
+
+@pytest.mark.parametrize("side", ["", "dual "])
+@pytest.mark.parametrize("case", list(_BAD_CLAIMS))
+def test_each_corrupted_metadata_claim_is_refused(side, case):
+    from hopfatlas.atlas import _verify_metadata_claims
+
+    fam, kind, edit, message = _BAD_CLAIMS[case]
+    if side and kind == "matrix_bases":
+        fam = f"dual:{fam}"
+    _verify_metadata_claims(_with_claim(fam, side, kind, lambda claim, gs: claim), fam)
+    with pytest.raises(AtlasConstructionError) as exc:
+        _verify_metadata_claims(_with_claim(fam, side, kind, edit), fam)
+    assert str(exc.value) == f"{fam}: {side}{message}" and exc.value.report is None
+
+
 def test_serialization_round_trip_byte_identical():
     for fam in ("h4", "taft3", "k8", "kD3dual", "am10d:3"):
         h = build(fam)
         text = dump_algebra(h)
         again = dump_algebra(load_algebra(text))
-        assert text == again
+        assert_same_text(again, text, fam)
         loaded = load_algebra(text)
         from hopfatlas.hopf import equal_tensors, verify_antipode, verify_bialgebra
 
@@ -133,7 +194,7 @@ def test_serialization_round_trip_byte_identical():
         assert equal_tensors(loaded, h)
     for fam in list_families():
         text = dump_algebra(build(fam))
-        assert dump_algebra(load_algebra(text)) == text, fam
+        assert_same_text(dump_algebra(load_algebra(text)), text, fam)
 
 
 def test_load_algebra_checks_every_coefficient():
@@ -202,7 +263,7 @@ def test_witness_files_round_trip():
     for w in builtin_witnesses()[:3]:
         text = dump_witness(w)
         again = dump_witness(load_witness(text, build(w.target)))
-        assert text == again
+        assert_same_text(again, text, w.source_family)
 
 
 def test_h4_embedding_maps_are_injective_morphisms():

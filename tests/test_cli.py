@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from json_trace import assert_same_text
 from hopfatlas.cli import VERBS, _parse_grid, _parser, main
 from hopfatlas.scalars import FieldElem
 
@@ -47,6 +48,26 @@ def test_verify_reports_construction_failure(monkeypatch, capsys):
         main(["invariants", "h4"])
     err = capsys.readouterr().err
     assert exc.value.code == 1 and err.startswith("error: h4: axioms failed") and err.count("\n") == 1
+
+
+def test_verify_reports_a_failed_metadata_claim(monkeypatch, capsys):
+    from hopfatlas import atlas
+    from hopfatlas.hopf import FinHopf
+
+    construct = atlas._build_unverified
+
+    def broken(spec):
+        # taft3 claiming its x (basis index 3, eps(x) = 0) as a grouplike
+        h = construct(spec)
+        meta = {**h.metadata, "claimed_grouplikes": [h.basis_elem(3)]}
+        return FinHopf(h.name, h.dim, h.order, h.mult, h.unit, h.comult, h.counit,
+                       h.antipode, meta)
+
+    monkeypatch.setattr(atlas, "_BUILD_CACHE", {})
+    monkeypatch.setattr(atlas, "_build_unverified", broken)
+    code, out = run(capsys, "verify", "taft3")
+    assert code == 1
+    assert out == "FAIL metadata-claims at () taft3: claimed grouplike fails Delta/eps\n"
 
 
 def test_unknown_family_exit_code(capsys):
@@ -143,7 +164,7 @@ def test_prove_trace_file_is_the_serialized_report(tmp_path, capsys):
                   "--axiom", "pq-half-dim", "--trace", str(trace))
     assert code == 0
     report = prove(70, pack="extended", flags=("free-translation",), axioms=("pq-half-dim",))
-    assert trace.read_bytes() == report.serialize().encode()
+    assert_same_text(trace.read_bytes(), report.serialize().encode())
     code, out = run(capsys, "prove", "--replay", str(trace))
     assert code == 0 and out == "replay: verdicts reproduced bit-for-bit\n"
 
@@ -186,7 +207,7 @@ def test_export_round_trip(tmp_path, capsys):
     from hopfatlas.serialize import dump_algebra, load_algebra
 
     text = out_file.read_text()
-    assert dump_algebra(load_algebra(text)) == text
+    assert_same_text(dump_algebra(load_algebra(text)), text)
 
 
 def test_dual_output(capsys):

@@ -1,9 +1,12 @@
+import copy
+
 import pytest
 
 from hopfatlas.atlas import build, list_families, shipped_surjections
 from hopfatlas.hopf import (
     CoinvariantDimensionError,
     FinHopf,
+    ShapeError,
     coinvariants,
     equal_tensors,
     hopf_dual,
@@ -38,6 +41,25 @@ def test_corrupted_relation_fails_comult_compat():
     assert "comult-algebra-map" in rep.failed_axioms()
     witnesses = [w for ax, w, _ in rep.failures if ax == "comult-algebra-map"]
     assert any(w for w in witnesses)
+
+
+@pytest.mark.parametrize("part,message", [
+    (lambda h, one: {"mult": {**h.mult, (4, 0): {0: one}}}, "mult entry out of range at (4,0)"),
+    (lambda h, one: {"mult": {**h.mult, (1, 2): {4: one}}}, "mult entry out of range at (1,2)"),
+    (lambda h, one: {"comult": {**h.comult, 0: {(0, 4): one}}}, "comult entry out of range at 0"),
+    (lambda h, one: {"unit": {4: one}}, "unit/counit out of range"),
+    (lambda h, one: {"antipode": LinearMap(h.order, 4, 5, h.antipode.columns)},
+     "antipode must be 4x4"),
+], ids=["mult-key", "mult-row", "comult-index", "unit-index", "antipode-not-square"])
+def test_verify_bialgebra_refuses_malformed_tables(part, message):
+    h4 = build("h4")
+    bad = copy.copy(h4)
+    bad.name = "h4-bad"
+    for attr, value in part(h4, FieldElem.one(h4.order)).items():
+        setattr(bad, attr, value)
+    with pytest.raises(ShapeError) as exc:
+        verify_bialgebra(bad)
+    assert str(exc.value) == f"h4-bad: {message}"
 
 
 def test_identity_antipode_fails_on_skew():
